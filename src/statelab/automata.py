@@ -97,8 +97,8 @@ class AlternatingAutomaton:
         f = self._cache.get(key)
         if f is None:
             f = self._delta_fn(q, a)
-            if f is None:
-                raise StatelabError(f"delta({q!r}, {a!r}) returned nothing")
+            if not (isinstance(f, (Atom, And, Or)) or f is TRUE or f is FALSE):
+                raise StatelabError(f"delta({q!r}, {a!r}) is not a formula: {f!r}")
             self._cache[key] = f
         return f
 
@@ -152,31 +152,20 @@ class AlternatingAutomaton:
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
+        return self._search(n, None)[0]
+
+    def reachable_counts(self, n_max: int, state_cap: Optional[int] = None) -> list:
+        """[|reachable(0)|, ..., |reachable(n_max)|] in one incremental BFS."""
+        return self._search(n_max, state_cap)[1]
+
+    def _search(self, n: int, state_cap: Optional[int]) -> tuple:
+        """(reachable(n), its size after each layer), breadth first."""
         if n < 0:
             raise StatelabError("depth must be >= 0")
         seen = {self.initial}
         frontier = [self.initial]
-        for _ in range(n):
-            nxt = []
-            for q in frontier:
-                for a in self.alphabet:
-                    for p in atoms(self.delta(q, a)):
-                        if p not in seen:
-                            seen.add(p)
-                            nxt.append(p)
-            if not nxt:
-                break
-            frontier = nxt
-        return seen
-
-    def reachable_counts(self, n_max: int, state_cap: Optional[int] = None) -> list:
-        """[|reachable(0)|, ..., |reachable(n_max)|] in one incremental BFS."""
-        if n_max < 0:
-            raise StatelabError("depth must be >= 0")
-        seen = {self.initial}
-        frontier = [self.initial]
         counts = [1]
-        for _ in range(n_max):
+        for _ in range(n):
             nxt = []
             for q in frontier:
                 for a in self.alphabet:
@@ -190,7 +179,7 @@ class AlternatingAutomaton:
                     f"reachable set exceeded the state cap ({len(seen)} > {state_cap})"
                 )
             frontier = nxt
-        return counts
+        return seen, counts
 
     def kind(self, depth: int = 4) -> str:
         """Most restrictive kind fitting all transitions reachable to `depth`.

@@ -16,11 +16,19 @@ from typing import List, Optional
 from .automata import AlternatingAutomaton
 from .errors import BudgetExceeded, FormatError, StatelabError
 from .experiments import REGISTRY_ORDER, run_all, run_experiment
-from .gallery import get_language, names
+from .gallery import LanguageSpec, get_language, names
 from .interchange import load_automaton, load_prob_automaton
 from .prob import ProbAutomaton, separate_quotients
 from .profiler import check_bound, profile
-from .quotients import DEFAULT_BUDGET, LanguageOracle, RowSpec, count_quotients, query_table
+from .quotients import (
+    DEFAULT_BUDGET,
+    LanguageOracle,
+    RowSpec,
+    canonical_json,
+    count_quotients,
+    from_automaton,
+    query_table,
+)
 
 
 class UsageError(StatelabError):
@@ -34,55 +42,50 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
 
 
-def _is_gallery_name(ref: str) -> bool:
+def _gallery_spec(ref: str) -> Optional[LanguageSpec]:
+    """The gallery language named `ref`, or None when `ref` names none."""
     try:
-        get_language(ref)
-        return True
+        return get_language(ref)
     except StatelabError:
-        return False
+        return None
 
 
-def _load_alternating(ref: str) -> AlternatingAutomaton:
-    """Resolve a gallery name or an interchange file to an automaton."""
-    if _is_gallery_name(ref):
-        spec = get_language(ref)
-        if spec.automaton is None:
-            raise UsageError(
-                f"gallery language {ref!r} has no alternating automaton"
-            )
-        return spec.automaton
+def _read_file(ref: str, load):
+    """Parse the interchange file `ref` with `load`; bad input is a usage error."""
     path = Path(ref)
     if not path.exists():
         raise UsageError(f"{ref!r} is neither a gallery language nor a file")
     try:
-        automaton = load_automaton(path.read_text(encoding="utf-8"))
+        return load(path.read_text(encoding="utf-8"))
     except FormatError as exc:
         raise UsageError(f"{ref}: {exc}") from exc
-    automaton.name = path.stem
-    return automaton
+
+
+def _load_alternating(ref: str, spec: Optional[LanguageSpec]) -> AlternatingAutomaton:
+    """The automaton of gallery `spec`, or, without one, of the file `ref`."""
+    if spec is None:
+        automaton = _read_file(ref, load_automaton)
+        automaton.name = Path(ref).stem
+        return automaton
+    if spec.automaton is None:
+        raise UsageError(f"gallery language {ref!r} has no alternating automaton")
+    return spec.automaton
 
 
 def _load_oracle(ref: str) -> LanguageOracle:
-    if _is_gallery_name(ref):
-        return get_language(ref).oracle
-    from .quotients import from_automaton
-
-    return from_automaton(_load_alternating(ref), name=ref)
+    spec = _gallery_spec(ref)
+    if spec is not None:
+        return spec.oracle
+    return from_automaton(_load_alternating(ref, None), name=ref)
 
 
 def _load_prob(ref: str) -> ProbAutomaton:
-    if _is_gallery_name(ref):
-        spec = get_language(ref)
-        if spec.prob_automaton is None:
-            raise UsageError(f"gallery language {ref!r} is not probabilistic")
-        return spec.prob_automaton
-    path = Path(ref)
-    if not path.exists():
-        raise UsageError(f"{ref!r} is neither a gallery language nor a file")
-    try:
-        return load_prob_automaton(path.read_text(encoding="utf-8"))
-    except FormatError as exc:
-        raise UsageError(f"{ref}: {exc}") from exc
+    spec = _gallery_spec(ref)
+    if spec is None:
+        return _read_file(ref, load_prob_automaton)
+    if spec.prob_automaton is None:
+        raise UsageError(f"gallery language {ref!r} is not probabilistic")
+    return spec.prob_automaton
 
 
 def _render(report, fmt: str) -> str:
@@ -97,20 +100,19 @@ def _render(report, fmt: str) -> str:
 # subcommands
 
 def cmd_eval(args) -> int:
-    automaton = _load_alternating(args.ref)
+    automaton = _load_alternating(args.ref, _gallery_spec(args.ref))
     accepted = automaton.accepts(args.word)
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
 
 
 def cmd_profile(args) -> int:
+    spec = _gallery_spec(args.ref)
+    automaton = _load_alternating(args.ref, spec)
     bound_class = args.bound_class
     constant = args.constant
-    if bound_class is None and _is_gallery_name(args.ref):
-        declared = get_language(args.ref).declared_class
-        if declared is not None:
-            bound_class, constant = declared
-    automaton = _load_alternating(args.ref)
+    if bound_class is None and spec is not None and spec.declared_class is not None:
+        bound_class, constant = spec.declared_class
     prof = profile(automaton, args.depth)
     if bound_class is None:
         _emit(_render(prof, args.format), args.out)
@@ -119,16 +121,16 @@ def cmd_profile(args) -> int:
         constant = 1
     check = check_bound(prof, bound_class, constant)
     if args.format == "json":
-        import json
-
-        payload = {
-            "automaton": prof.name,
-            "profile": prof.counts,
-            "bound": json.loads(check.to_json()),
-        }
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = canonical_json(
+            {"automaton": prof.name, "profile": prof.counts, "bound": check.payload()}
+        )
     elif args.format == "csv":
-        text = prof.to_csv()
+        lines = ["n,count,within_bound"]
+        lines.extend(
+            f"{n},{c},{'true' if ok else 'false'}"
+            for (n, c), ok in zip(prof.pairs(), check.verdicts)
+        )
+        text = "\n".join(lines) + "\n"
     else:
         text = prof.to_text() + "\n" + check.to_text()
     _emit(text, args.out)
@@ -183,9 +185,10 @@ def cmd_experiment(args) -> int:
         )
     fmt = args.format
     if args.id == "all":
-        reports = run_all(
-            parallel=args.parallel, seed=args.seed, budget=args.budget
-        )
+        for flag in ("n", "limit", "count"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"--{flag} applies to a single experiment, not to 'all'")
+        reports = run_all(seed=args.seed, budget=args.budget)
     else:
         overrides = {
             "seed": args.seed,
@@ -288,8 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("id", nargs="?", help="experiment id or 'all'")
     p.add_argument("--list", action="store_true",
                    help="list known experiment ids")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker threads for 'all'")
     p.add_argument("--n", type=int, default=None,
                    help="override the main size parameter")
     p.add_argument("--limit", type=int, default=None,

@@ -3,8 +3,8 @@
 Every experiment re-derives its measured values through the library
 operations (no expected profiles are hardcoded as data) and returns an
 ExperimentReport whose canonical JSON is byte-deterministic given the
-parameters; wall-clock duration is carried on the object and printed in
-text form but excluded from the canonical bytes.
+parameters; the duration that run_experiment measures is carried on the
+object and printed in text form but excluded from the canonical bytes.
 """
 
 from __future__ import annotations
@@ -19,13 +19,14 @@ from typing import Callable, Dict, List, Optional
 from .automata import AlternatingAutomaton, determinize_finite, game_tree_accepts
 from .errors import StatelabError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
-from .gallery import get_language
+from .gallery import get_language, hierarchy_exponent
 from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
 from .primes import find_isolated_prime
 from .profiler import check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
     RowSpec,
+    canonical_json,
     count_quotients,
     distinguish,
     from_automaton,
@@ -52,7 +53,7 @@ class ExperimentReport:
         return self.verdict == "pass"
 
     def canonical_json(self) -> str:
-        return json.dumps(
+        return canonical_json(
             {
                 "experiment": self.experiment,
                 "claim": self.claim,
@@ -60,9 +61,7 @@ class ExperimentReport:
                 "measured": self.measured,
                 "bound": self.bound,
                 "verdict": self.verdict,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+            }
         )
 
     def to_text(self) -> str:
@@ -77,7 +76,7 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _report(experiment, claim, parameters, measured, bound, ok, t0) -> ExperimentReport:
+def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentReport:
     return ExperimentReport(
         experiment=experiment,
         claim=claim,
@@ -85,7 +84,6 @@ def _report(experiment, claim, parameters, measured, bound, ok, t0) -> Experimen
         measured=measured,
         bound=bound,
         verdict="pass" if ok else "fail",
-        duration_seconds=time.time() - t0,
     )
 
 
@@ -94,7 +92,6 @@ def _report(experiment, claim, parameters, measured, bound, ok, t0) -> Experimen
 
 def run_rabin_claim(n: int = 8, **_) -> ExperimentReport:
     """Pairwise-distinct quotients for all binary words of each length <= n."""
-    t0 = time.time()
     machine = rabin_automaton()
     lang = ThresholdLanguage(machine)
     alpha = Alphabet("01")
@@ -124,7 +121,6 @@ def run_rabin_claim(n: int = 8, **_) -> ExperimentReport:
         {"orders": per_order},
         "all pairs separated, certifying 2^n distinct quotients per length",
         ok,
-        t0,
     )
 
 
@@ -147,7 +143,6 @@ def _subset_rows(length: int, alpha: Alphabet, reverse_blocks: bool) -> List[str
 
 def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
     """Doubly-exponential query-table growth for the reversed-block language."""
-    t0 = time.time()
     orders = [n] if n is not None else [1, 2]
     spec = get_language("l-exp")
     binary = Alphabet("01")
@@ -168,7 +163,6 @@ def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET, **_) -> E
         measured,
         "profile count equals 2^(2^n) at every tested order",
         ok,
-        t0,
     )
 
 
@@ -178,7 +172,6 @@ def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET, **_) -> E
 def run_hierarchy(power: int = 2, n: Optional[int] = None,
                   budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
     """Query-table lower bound for the block-budget language at order n + 2^(n/l)."""
-    t0 = time.time()
     if n is None:
         n = power
     if n % power != 0:
@@ -205,7 +198,6 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
         {"profiles": report.count, "required": want},
         "profile count equals 2^(2^n)",
         ok,
-        t0,
     )
 
 
@@ -214,7 +206,6 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
 
 def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
     """Distinct quotients for distinct odd binary words of each length 2..n."""
-    t0 = time.time()
     spec = get_language("primes")
     measured = {}
     ok = True
@@ -249,7 +240,6 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET, **_) 
         measured,
         "all pairs distinguished and class count >= 2^(n-1) at each length",
         ok,
-        t0,
     )
 
 
@@ -287,7 +277,6 @@ def _window_composite_by_trial_division(p: int, radius: int) -> bool:
 def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
                       budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
     """Isolated primes in every odd residue class; single-hit profile rows."""
-    t0 = time.time()
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
     measured = {}
@@ -337,7 +326,6 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
         measured,
         "2^(n-1) distinct single-hit profiles with isolation re-verified",
         ok,
-        t0,
     )
 
 
@@ -350,7 +338,6 @@ _PROFILE_DEPTHS = {"count-eq3": 40, "not-eq": 40, "lex": 40, "maj2": 40, "l-hier
 
 def run_gallery_equiv(**_) -> ExperimentReport:
     """Oracle agreement plus declared profile ceilings for every gallery automaton."""
-    t0 = time.time()
     measured = {}
     ok = True
     for name in _EQUIV_LANGS:
@@ -386,7 +373,6 @@ def run_gallery_equiv(**_) -> ExperimentReport:
         measured,
         "zero mismatches and all declared ceilings hold",
         ok,
-        t0,
     )
 
 
@@ -421,7 +407,6 @@ def random_automaton(rng: random.Random) -> AlternatingAutomaton:
 def run_core_crosscheck(seed: int = 0, count: int = 1000,
                         word_bound: int = 6, mono_pairs: int = 10000, **_) -> ExperimentReport:
     """Three acceptance routes agree; quotients distribute; formulas monotone."""
-    t0 = time.time()
     rng = random.Random(seed)
     alpha = Alphabet("ab")
     words = list(alpha.words_up_to(word_bound))
@@ -486,7 +471,6 @@ def run_core_crosscheck(seed: int = 0, count: int = 1000,
         },
         "zero failures in all three suites",
         ok,
-        t0,
     )
 
 
@@ -507,35 +491,23 @@ REGISTRY_ORDER = list(REGISTRY)
 
 
 def run_experiment(exp_id: str, **overrides) -> ExperimentReport:
-    """Run one experiment by id; 'hierarchy:<l>' parses the exponent inline."""
+    """Run one experiment by id and time it; 'hierarchy:<l>' takes any l >= 2."""
     clean = {k: v for k, v in overrides.items() if v is not None}
     if exp_id.startswith("hierarchy:"):
-        suffix = exp_id.split(":", 1)[1]
-        try:
-            power = int(suffix)
-        except ValueError:
-            raise StatelabError(f"bad hierarchy exponent {suffix!r}") from None
-        if power < 2:
-            raise StatelabError("the hierarchy experiment needs an exponent >= 2")
-        clean["power"] = power
-        return run_hierarchy(**clean)
-    runner = REGISTRY.get(exp_id)
-    if runner is None:
-        raise StatelabError(
-            f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY_ORDER)}"
-        )
-    return runner(**clean)
+        clean["power"] = hierarchy_exponent(exp_id)
+        runner = run_hierarchy
+    else:
+        runner = REGISTRY.get(exp_id)
+        if runner is None:
+            raise StatelabError(
+                f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY_ORDER)}"
+            )
+    start = time.perf_counter()
+    report = runner(**clean)
+    report.duration_seconds = time.perf_counter() - start
+    return report
 
 
-def run_all(parallel: int = 1, **overrides) -> List[ExperimentReport]:
+def run_all(**overrides) -> List[ExperimentReport]:
     """Run the whole registry; reports come back in registry order."""
-    if parallel > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            futures = {
-                exp_id: pool.submit(run_experiment, exp_id, **overrides)
-                for exp_id in REGISTRY_ORDER
-            }
-            return [futures[exp_id].result() for exp_id in REGISTRY_ORDER]
     return [run_experiment(exp_id, **overrides) for exp_id in REGISTRY_ORDER]

@@ -32,6 +32,10 @@ class _Const:
     def __repr__(self) -> str:
         return "TRUE" if self.value else "FALSE"
 
+    def __reduce__(self) -> str:
+        # pickle and copy resolve the module-level name, keeping the singleton
+        return repr(self)
+
 
 TRUE = _Const(True)
 FALSE = _Const(False)

@@ -475,15 +475,22 @@ def names() -> list:
     return sorted(_BUILDERS) + ["l-hier:<l>"]
 
 
+def hierarchy_exponent(name: str) -> int:
+    """The exponent l >= 2 of a '<prefix>:<l>' name: 'l-hier:3', 'hierarchy:3'."""
+    suffix = name.split(":", 1)[1]
+    try:
+        power = int(suffix)
+    except ValueError:
+        raise StatelabError(f"bad hierarchy exponent {suffix!r}") from None
+    if power < 2:
+        raise StatelabError(f"{name!r}: the hierarchy needs an exponent >= 2")
+    return power
+
+
 def get_language(name: str) -> LanguageSpec:
     """Resolve a gallery name; 'l-hier:<l>' takes the exponent inline."""
     if name.startswith("l-hier:"):
-        suffix = name.split(":", 1)[1]
-        try:
-            power = int(suffix)
-        except ValueError:
-            raise StatelabError(f"bad hierarchy exponent {suffix!r}") from None
-        return l_hierarchy(power)
+        return l_hierarchy(hierarchy_exponent(name))
     builder = _BUILDERS.get(name)
     if builder is None:
         raise StatelabError(

@@ -8,13 +8,13 @@ an asymptotic claim, it certifies the inequality at every measured n.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, List, Optional
 
 from .automata import AlternatingAutomaton
 from .errors import StatelabError
+from .quotients import canonical_json
 
 BOUND_CLASSES = ("const", "n", "n^<k>", "2^n")
 
@@ -49,11 +49,7 @@ class ComplexityProfile:
         return list(enumerate(self.counts))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"automaton": self.name, "counts": self.counts},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json({"automaton": self.name, "counts": self.counts})
 
     def to_csv(self) -> str:
         lines = ["n,count"]
@@ -78,18 +74,17 @@ class BoundCheck:
     def passed(self) -> bool:
         return all(self.verdicts)
 
+    def payload(self) -> dict:
+        return {
+            "class": self.class_name,
+            "constant": self.constant,
+            "passed": self.passed,
+            "max_ratio": str(self.max_ratio),
+            "failures": [n for n, ok in enumerate(self.verdicts) if not ok],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "class": self.class_name,
-                "constant": self.constant,
-                "passed": self.passed,
-                "max_ratio": str(self.max_ratio),
-                "failures": [n for n, ok in enumerate(self.verdicts) if not ok],
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return canonical_json(self.payload())
 
     def to_text(self) -> str:
         status = "pass" if self.passed else "FAIL"

@@ -66,7 +66,8 @@ def quotient_member(L: LanguageOracle, u: str, w: str) -> bool:
     return L.membership(u + w)
 
 
-def _canonical_json(payload: dict) -> str:
+def canonical_json(payload: dict) -> str:
+    """The one byte-deterministic JSON form of every report."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
@@ -79,7 +80,7 @@ class QuotientCountReport:
     representatives: List[str]
 
     def to_json(self) -> str:
-        return _canonical_json(
+        return canonical_json(
             {
                 "language": self.language,
                 "order": self.order,
@@ -152,7 +153,7 @@ class QueryTableReport:
         }
         if self.profiles is not None:
             payload["profiles"] = self.profiles
-        return _canonical_json(payload)
+        return canonical_json(payload)
 
     def to_csv(self) -> str:
         lines = ["profile,representative"]

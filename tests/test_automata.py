@@ -150,6 +150,19 @@ def test_reachable_counts_respects_state_cap():
         m.reachable_counts(10, state_cap=20)
 
 
+def test_reachable_set_sizes_match_reachable_counts():
+    m = get_language("count-eq3").automaton
+    assert [len(m.reachable(n)) for n in range(8)] == m.reachable_counts(7)
+
+
+def test_delta_result_that_is_not_a_formula_is_rejected():
+    m = AlternatingAutomaton("ab", 0, lambda q, a: "not a formula", {0})
+    with pytest.raises(StatelabError, match=r"delta\(0, 'a'\) is not a formula"):
+        m.reachable_counts(3)
+    with pytest.raises(StatelabError, match="not a formula"):
+        AlternatingAutomaton("ab", 0, lambda q, a: None, {0}).accepts("a")
+
+
 def test_mapping_and_callable_transitions_are_equivalent():
     table = {
         ("q", "a"): Atom("r"),

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from statelab.cli import main
 
 GOOD_DOC = """\
@@ -181,3 +183,65 @@ def test_gallery_listing(capsys):
     assert code == 0
     for name in ("count-eq3", "lex", "primes", "rabin-half"):
         assert name in out
+
+
+def test_profile_csv_with_bound_reports_each_verdict(capsys):
+    code, out, _ = run(
+        capsys, "profile", "count-eq3", "12",
+        "--bound-class", "n", "--constant", "1", "--format", "csv",
+    )
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == "n,count,within_bound"
+    assert len(lines) == 14
+    assert lines[1] == "0,1,true"
+    assert lines[2] == "1,4,false"
+    assert all(line.split(",")[2] in ("true", "false") for line in lines[1:])
+
+
+def test_profile_csv_bytes_with_and_without_a_bound(tmp_path, capsys):
+    code, out, _ = run(capsys, "profile", "maj2", "2", "--format", "csv")
+    assert (code, out) == (0, "n,count,within_bound\n0,1,true\n1,3,true\n2,5,true\n\n")
+    path = tmp_path / "once.aut"
+    path.write_text(GOOD_DOC, encoding="utf-8")
+    code, out, _ = run(capsys, "profile", str(path), "2", "--format", "csv")
+    assert (code, out) == (0, "n,count\n0,1\n1,2\n2,2\n\n")
+
+
+@pytest.mark.parametrize("flag", ["--n", "--limit", "--count"])
+def test_experiment_all_rejects_per_experiment_flags(capsys, flag):
+    code, out, err = run(capsys, "experiment", "all", flag, "3")
+    assert code == 2
+    assert out == ""
+    assert flag in err
+
+
+def test_experiment_bad_hierarchy_exponent_is_a_checked_failure(capsys):
+    for exp_id in ("hierarchy:x", "hierarchy:1"):
+        code, _, err = run(capsys, "experiment", exp_id)
+        assert code == 1
+        assert "exponent" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "lex", "0#1"),
+    ("profile", "lex", "12"),
+    ("profile", "count-eq3", "4", "--bound-class", "n^2", "--constant", "9"),
+    ("quotients", "count-eq3", "--order", "1", "--witness", "2"),
+    ("query-table", "l-exp", "--order", "1", "--rows", "#0"),
+    ("prob", "eval", "rabin-half", "11"),
+], ids=lambda argv: " ".join(argv[:2]))
+def test_gallery_language_is_built_once_per_command(capsys, monkeypatch, argv):
+    import statelab.cli as cli
+
+    calls = []
+    get_language = cli.get_language
+
+    def counting(name):
+        calls.append(name)
+        return get_language(name)
+
+    monkeypatch.setattr(cli, "get_language", counting)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == 1

@@ -119,6 +119,24 @@ def test_canonical_json_excludes_duration():
     assert report.duration_seconds >= 0
 
 
+def test_run_experiment_is_the_one_place_that_times_a_run(monkeypatch):
+    import time
+
+    import statelab.experiments as exps
+
+    def slow(**overrides):
+        time.sleep(0.01)
+        return ExperimentReport(
+            experiment="slow", claim="", parameters={}, measured={},
+            bound="", verdict="pass",
+        )
+
+    monkeypatch.setattr(exps, "REGISTRY", {"slow": slow})
+    assert slow().duration_seconds == 0.0
+    assert exps.run_experiment("slow").duration_seconds >= 0.01
+    assert run_core_crosscheck(seed=7, count=2, mono_pairs=5).duration_seconds == 0.0
+
+
 def test_reports_render_as_text():
     report = run_experiment("exp-alt", n=1)
     text = report.to_text()
@@ -141,6 +159,4 @@ def test_run_all_respects_registry_order(monkeypatch):
     monkeypatch.setattr(exps, "REGISTRY", fake_registry)
     monkeypatch.setattr(exps, "REGISTRY_ORDER", list(fake_registry))
     serial = exps.run_all()
-    threaded = exps.run_all(parallel=3)
     assert [r.experiment for r in serial] == ["one", "two", "three"]
-    assert [r.experiment for r in threaded] == ["one", "two", "three"]

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -124,3 +126,20 @@ def test_nodes_are_hashable_and_comparable():
     assert Atom("x") == Atom("x")
     assert len({Atom("x"), Atom("x"), Atom("y")}) == 2
     assert And((Atom("x"), Atom("y"))) != Or((Atom("x"), Atom("y")))
+
+
+@pytest.mark.parametrize("clone", [
+    lambda f: pickle.loads(pickle.dumps(f)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_constants_stay_singletons_through_pickle_and_copy(clone):
+    assert clone(TRUE) is TRUE
+    assert clone(FALSE) is FALSE
+    f = disj([conj([Atom("p"), TRUE]), And((Atom("q"), FALSE)), Or((Atom("r"), TRUE))])
+    g = clone(f)
+    assert g == f
+    assert evaluate(clone(TRUE), lambda q: False) is True
+    assert evaluate(clone(FALSE), lambda q: True) is False
+    for truth in ({"p": False, "q": True, "r": False}, {"p": False, "q": False, "r": False}):
+        assert evaluate(g, truth.__getitem__) == evaluate(f, truth.__getitem__)

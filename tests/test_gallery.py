@@ -1,7 +1,7 @@
 import pytest
 
 from statelab import StatelabError, get_language
-from statelab.gallery import names
+from statelab.gallery import hierarchy_exponent, names
 
 
 def test_registry_lists_every_language():
@@ -83,6 +83,16 @@ def test_hierarchy_exponent_three_budget():
     assert L("◊0#0")                    # one block within budget 1^3
     assert not L("◊0#0" + "#1" * 7)     # eight blocks exceed 1^3
     assert L("◊◊0#0" + "#1" * 7)        # eight blocks within 2^3
+
+
+def test_hierarchy_exponent_is_parsed_in_one_place():
+    assert hierarchy_exponent("l-hier:3") == 3
+    assert hierarchy_exponent("hierarchy:2") == 2
+    for bad in ("l-hier:x", "l-hier:1", "l-hier:", "hierarchy:0"):
+        with pytest.raises(StatelabError, match="exponent"):
+            hierarchy_exponent(bad)
+    with pytest.raises(StatelabError, match="exponent >= 2"):
+        get_language("l-hier:1")
 
 
 def test_primes_membership():

@@ -1,0 +1,87 @@
+"""Golden bytes: the canonical JSON of reports must not change under refactors.
+
+The experiment reports are pinned by length and sha256 of their canonical
+JSON (the claims make them long); the smaller reports and the CLI output
+are pinned verbatim. A change to any of these bytes is a change to the
+published results and needs its own justification.
+"""
+
+import hashlib
+
+import pytest
+
+from statelab import (
+    ComplexityProfile,
+    RowSpec,
+    check_bound,
+    count_quotients,
+    get_language,
+    profile,
+    query_table,
+    run_experiment,
+)
+from statelab.cli import main
+
+EXPERIMENT_DIGESTS = [
+    ("exp-alt", {"n": 1}, 379,
+     "71bc3424554a394a5532cbf0861dfaa0277143207aea8e96549382383e697efc"),
+    ("hierarchy:2", {}, 367,
+     "f23031c04c4e513281d2e18aa014e73d40c04bbe06141f42123bd2f629973994"),
+    ("primes-hs", {"n": 4}, 654,
+     "a1339f70aeec5ded8892d7066ba3ab05b6a47c26614bcce08039da5245a33f42"),
+    ("primes-linear", {"n": 2}, 548,
+     "2b526d0578e2a2d7ec673a8eda0054f6f76889d078e94d735cc58cc287433e29"),
+    ("rabin-claim", {"n": 3}, 532,
+     "f1e823703d79fea07f39079752162913963d2e25b2468c2f0e4396bdea46af50"),
+    ("core-crosscheck", {"seed": 7, "count": 25, "mono_pairs": 200}, 519,
+     "fc1b3f25db84925917b56bd114f52d236592907ba46a28964f3b62602619f402"),
+]
+
+
+@pytest.mark.parametrize(
+    "exp_id,overrides,length,digest", EXPERIMENT_DIGESTS,
+    ids=[exp_id for exp_id, *_ in EXPERIMENT_DIGESTS],
+)
+def test_experiment_report_bytes(exp_id, overrides, length, digest):
+    text = run_experiment(exp_id, **overrides).canonical_json()
+    actual = (len(text), hashlib.sha256(text.encode("utf-8")).hexdigest())
+    assert actual == (length, digest), text
+
+
+def test_complexity_profile_bytes():
+    prof = profile(get_language("maj2").automaton, 4)
+    assert prof.to_json() == '{"automaton":"maj2","counts":[1,3,5,7,9]}'
+
+
+def test_bound_check_bytes():
+    check = check_bound(ComplexityProfile("toy", [1, 1, 7]), "n^2", 1)
+    assert check.to_json() == (
+        '{"class":"n^2","constant":1,"failures":[2],"max_ratio":"7/4","passed":false}'
+    )
+
+
+def test_quotient_count_report_bytes():
+    report = count_quotients(get_language("count-eq3").oracle, 1, 3)
+    assert report.to_json() == (
+        '{"count":4,"language":"count-eq3","order":1,'
+        '"representatives":["","a","b","c"],"witness_bound":3}'
+    )
+
+
+def test_query_table_report_bytes():
+    rows = RowSpec.explicit(["", "#0", "#1", "#0#1"])
+    report = query_table(get_language("l-exp").oracle, 1, rows, include_profiles=True)
+    assert report.to_json() == (
+        '{"count":4,"language":"l-exp","order":1,'
+        '"profiles":{"":"0001","#0":"0101","#0#1":"0111","#1":"0011"},'
+        '"representatives":["","#0","#1","#0#1"],'
+        '"row_spec":{"kind":"explicit","rows":["","#0","#1","#0#1"]}}'
+    )
+
+
+def test_cli_profile_json_bytes(capsys):
+    assert main(["profile", "maj2", "4", "--format", "json"]) == 0
+    assert capsys.readouterr().out == (
+        '{"automaton":"maj2","bound":{"class":"n","constant":3,"failures":[],'
+        '"max_ratio":"3","passed":true},"profile":[1,3,5,7,9]}\n'
+    )
