@@ -11,6 +11,7 @@ from .automata import (
     KINDS,
     REJECT_SINK,
     AlternatingAutomaton,
+    backward_accepts,
     determinize_finite,
     game_tree_accepts,
 )
@@ -86,6 +87,7 @@ __all__ = [
     "TRUE",
     "UnsupportedError",
     "atoms",
+    "backward_accepts",
     "bin_frac",
     "bin_int",
     "check_bound",

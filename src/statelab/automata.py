@@ -3,12 +3,22 @@
 States are opaque hashable values; the transition function is arbitrary
 code mapping (state, letter) to a positive boolean formula over states,
 so the state space may be infinite as long as every finite-depth
-reachable fragment is finite. Acceptance is the backward value recursion
+reachable fragment is finite.
+
+Acceptance has two routes, chosen per automaton. One that declares at
+most FOLD_STATE_LIMIT states compiles, on its first accepts() call, the
+lattice tables sat[a]: X -> {q : X satisfies delta(q, a)} on bitmasks
+of its states, and decides a word by the right fold
+
+    X = F;  for a in reversed(w): X = sat[a][X];  accept iff q0 in X.
+
+Every other automaton, the lazy gallery ones included, uses the
+memoized backward value recursion (backward_accepts)
 
     value(q, |w|) = F(q)
     value(q, i)   = eval(delta(q, w(i)), p -> value(p, i+1))
 
-which coincides with the two-player acceptance game (Eve resolves ORs,
+Both coincide with the two-player acceptance game (Eve resolves ORs,
 Adam resolves ANDs, Eve wins iff the play ends accepting); the test
 suite checks that against an explicit unmemoized game-tree evaluation
 on small instances.
@@ -17,6 +27,8 @@ on small instances.
 from __future__ import annotations
 
 from collections import deque
+from functools import reduce
+from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import KindError, StatelabError
@@ -35,6 +47,15 @@ from .words import Alphabet
 State = Hashable
 
 KINDS = ("deterministic", "universal", "nondeterministic", "alternating")
+
+# Largest declared state set that accepts() compiles lattice tables for.
+# The build evaluates 2^|Q| * |Q| * |A| subset memberships, under a
+# millisecond per letter at 8 states; random test automata have 1-5.
+FOLD_STATE_LIMIT = 8
+
+# Largest declared state set determinize_finite accepts. Its tables hold
+# 2^|Q| subsets per letter and every result state is a 2^|Q|-bit mask.
+DETERMINIZE_STATE_LIMIT = 12
 
 
 class _Sink:
@@ -60,8 +81,9 @@ class AlternatingAutomaton:
     accepting may be a callable or a set of states. `states` is optional:
     when given it declares the full (finite) state set, which is what
     enables determinization and serialization. Automata are immutable
-    after construction; the only internal mutation is the transition
-    memo cache, which never changes results.
+    after construction; the only internal mutations are the transition
+    memo cache and the lattice tables compiled on the first accepts()
+    call, neither of which changes results.
     """
 
     def __init__(
@@ -88,6 +110,9 @@ class AlternatingAutomaton:
             self._accepting_fn = lambda q: q in acc
         self.states = list(states) if states is not None else None
         self._cache: dict = {}
+        self._fold_pending = (self.states is not None
+                              and len(self.states) <= FOLD_STATE_LIMIT)
+        self._fold: Optional[tuple] = None
 
     def __repr__(self) -> str:
         return f"<AlternatingAutomaton {self.name!r} over {self.alphabet.letters!r}>"
@@ -108,22 +133,25 @@ class AlternatingAutomaton:
         return bool(self._accepting_fn(q))
 
     def accepts(self, word: str) -> bool:
-        """Membership via the memoized backward value recursion."""
+        """Membership by the lattice fold when compiled, else backward_accepts."""
+        if self._fold_pending:
+            self._fold_pending = False
+            try:
+                self._fold = _lattice(self)
+            except Exception:
+                # Any failure (a missing transition, an atom outside the
+                # declared states, a delta or accepting function that
+                # raises) leaves the automaton on the backward recursion,
+                # which raises it where it always has: on the words whose
+                # runs reach the fault, and on no other word.
+                pass
+        if self._fold is None:
+            return backward_accepts(self, word)
         self.alphabet.check_word(word)
-        # Forward pass: which states can matter at each position.
-        layers = [{self.initial}]
-        for ch in word:
-            nxt = set()
-            for q in layers[-1]:
-                nxt.update(atoms(self.delta(q, ch)))
-            layers.append(nxt)
-        # Backward pass: value(q, i) for exactly those states.
-        val = {q: self.state_accepting(q) for q in layers[-1]}
-        for i in range(len(word) - 1, -1, -1):
-            ch = word[i]
-            lookup = val.__getitem__
-            val = {q: evaluate(self.delta(q, ch), lookup) for q in layers[i]}
-        return val[self.initial]
+        sat, X, initial = self._fold
+        for a in reversed(word):
+            X = sat[a][X]
+        return bool(X >> initial & 1)
 
     def run_det(self, word: str) -> State:
         """Follow atomic transitions; raises KindError on And/Or.
@@ -216,6 +244,25 @@ def _table_lookup(table: Mapping, q: State, a: str) -> Formula:
         raise StatelabError(f"no transition declared for ({q!r}, {a!r})") from None
 
 
+def backward_accepts(A: AlternatingAutomaton, word: str) -> bool:
+    """Membership via the memoized backward value recursion."""
+    A.alphabet.check_word(word)
+    # Forward pass: which states can matter at each position.
+    layers = [{A.initial}]
+    for ch in word:
+        nxt = set()
+        for q in layers[-1]:
+            nxt.update(atoms(A.delta(q, ch)))
+        layers.append(nxt)
+    # Backward pass: value(q, i) for exactly those states.
+    val = {q: A.state_accepting(q) for q in layers[-1]}
+    for i in range(len(word) - 1, -1, -1):
+        ch = word[i]
+        lookup = val.__getitem__
+        val = {q: evaluate(A.delta(q, ch), lookup) for q in layers[i]}
+    return val[A.initial]
+
+
 def game_tree_accepts(A: AlternatingAutomaton, word: str) -> bool:
     """Explicit min/max play of the acceptance game, no memoization.
 
@@ -246,6 +293,51 @@ def game_tree_accepts(A: AlternatingAutomaton, word: str) -> bool:
     return position(A.initial, 0)
 
 
+def _lattice(A: AlternatingAutomaton) -> tuple:
+    """(sat, accepting, initial) over A's declared states.
+
+    Bit i of a subset mask X stands for A.states[i]. sat[a][X] is the
+    mask of the states whose transition formula on a holds when exactly
+    the states in X are true, `accepting` is the mask of the accepting
+    states and `initial` the bit of the initial state. Each formula is
+    evaluated on all 2^|Q| subsets at once, as the 2^|Q|-bit set of the
+    subsets that satisfy it, so every atom is checked against the
+    declared states.
+    """
+    states = A.states
+    index = {q: i for i, q in enumerate(states)}
+    if A.initial not in index:
+        raise StatelabError(f"initial state {A.initial!r} is not a declared state")
+    nsub = 1 << len(states)
+    every = (1 << nsub) - 1
+    # containing[i]: the subsets that contain state i
+    containing = [sum(1 << X for X in range(nsub) if X >> i & 1)
+                  for i in range(len(states))]
+
+    def satisfying(f: Formula) -> int:
+        if f is TRUE:
+            return every
+        if f is FALSE:
+            return 0
+        if isinstance(f, Atom):
+            if f.state not in index:
+                raise StatelabError(f"no truth value for atom {f.state!r}")
+            return containing[index[f.state]]
+        if isinstance(f, And):
+            return reduce(and_, map(satisfying, f.children))
+        if isinstance(f, Or):
+            return reduce(or_, map(satisfying, f.children))
+        raise StatelabError(f"not a formula: {f!r}")
+
+    sat = {}
+    for a in A.alphabet:
+        rows = [satisfying(A.delta(q, a)) for q in states]
+        sat[a] = [sum(1 << i for i, row in enumerate(rows) if row >> X & 1)
+                  for X in range(nsub)]
+    accepting = sum(1 << i for i, q in enumerate(states) if A.state_accepting(q))
+    return sat, accepting, index[A.initial]
+
+
 def determinize_finite(
     A: AlternatingAutomaton, state_cap: int = 1_000_000
 ) -> AlternatingAutomaton:
@@ -254,32 +346,22 @@ def determinize_finite(
     States of the result are monotone boolean functions over subsets of
     A's states, encoded as bitmask ints: bit X of g says whether the
     subset X satisfies g's formula. Reading a letter precomposes with
-    the subset map X -> {q : X satisfies delta(q, a)}. The result has at
-    most 2^(2^|Q|) states; only the reachable part is built.
+    the lattice map X -> {q : X satisfies delta(q, a)}. The result has
+    at most 2^(2^|Q|) states; only the reachable part is built. A with
+    more than DETERMINIZE_STATE_LIMIT states is refused before any
+    table is built.
     """
     if A.states is None:
         raise KindError(
             "determinization needs an automaton with a declared finite state list"
         )
-    states = list(A.states)
-    n = len(states)
-    index = {q: i for i, q in enumerate(states)}
-    nsub = 1 << n
-
-    # sat[a][X] = bitmask of states whose transition formula on a is
-    # satisfied when exactly the states in X are true.
-    sat = {}
-    for a in A.alphabet:
-        col = []
-        for X in range(nsub):
-            mask = 0
-            for i, q in enumerate(states):
-                if evaluate(A.delta(q, a), lambda p: bool((X >> index[p]) & 1)):
-                    mask |= 1 << i
-            col.append(mask)
-        sat[a] = col
-
-    qi = index[A.initial]
+    if len(A.states) > DETERMINIZE_STATE_LIMIT:
+        raise StatelabError(
+            f"determinization is limited to {DETERMINIZE_STATE_LIMIT} states, "
+            f"got {len(A.states)}"
+        )
+    sat, f_mask, qi = _lattice(A)
+    nsub = 1 << len(A.states)
     g0 = 0
     for X in range(nsub):
         if (X >> qi) & 1:
@@ -312,11 +394,6 @@ def determinize_finite(
                 seen.add(h)
                 discovered.append(h)
                 queue.append(h)
-
-    f_mask = 0
-    for q in states:
-        if A.state_accepting(q):
-            f_mask |= 1 << index[q]
 
     return AlternatingAutomaton(
         alphabet=A.alphabet,

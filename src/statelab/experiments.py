@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
-from .automata import AlternatingAutomaton, determinize_finite, game_tree_accepts
+from .automata import (
+    AlternatingAutomaton,
+    backward_accepts,
+    determinize_finite,
+    game_tree_accepts,
+)
 from .errors import StatelabError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
@@ -406,7 +411,7 @@ def random_automaton(rng: random.Random) -> AlternatingAutomaton:
 
 def run_core_crosscheck(seed: int = 0, count: int = 1000,
                         word_bound: int = 6, mono_pairs: int = 10000, **_) -> ExperimentReport:
-    """Three acceptance routes agree; quotients distribute; formulas monotone."""
+    """Four acceptance routes agree; quotients distribute; formulas monotone."""
     rng = random.Random(seed)
     alpha = Alphabet("ab")
     words = list(alpha.words_up_to(word_bound))
@@ -416,8 +421,11 @@ def run_core_crosscheck(seed: int = 0, count: int = 1000,
     for A in automata:
         D = determinize_finite(A)
         for w in words:
+            # the lattice fold, the backward recursion, game-tree play and
+            # the determinized automaton: four independent routes
             a1 = A.accepts(w)
-            if a1 != game_tree_accepts(A, w) or a1 != D.accepts(w):
+            if (a1 != backward_accepts(A, w) or a1 != game_tree_accepts(A, w)
+                    or a1 != D.accepts(w)):
                 agreement_failures += 1
                 break
 

@@ -41,7 +41,7 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     state: State
 
@@ -49,7 +49,7 @@ class Atom:
         return f"Atom({self.state!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And:
     children: tuple
 
@@ -61,7 +61,7 @@ class And:
         return f"And{self.children!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or:
     children: tuple
 
@@ -73,7 +73,10 @@ class Or:
         return f"Or{self.children!r}"
 
 
-Formula = Union[_Const, Atom, And, Or]
+# Forward-reference strings: typing caches every Union it builds, and a
+# cache entry holding these classes would keep this module (and whatever
+# it imports) alive after statelab is dropped from sys.modules.
+Formula = Union["_Const", "Atom", "And", "Or"]
 
 
 def conj(parts: Iterable[Formula]) -> Formula:

@@ -390,7 +390,10 @@ def primes_language() -> LanguageSpec:
     return LanguageSpec(
         name="primes",
         alphabet=alpha,
-        oracle=LanguageOracle("primes", alpha, lambda w: is_prime(bin_int(w))),
+        # a word of at most 64 letters has an LSB-first value below 2^64,
+        # the range where is_prime is exact
+        oracle=LanguageOracle("primes", alpha, lambda w: is_prime(bin_int(w)),
+                              max_word_length=64),
     )
 
 

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .errors import BudgetExceeded, StatelabError
+from .errors import BudgetExceeded, StatelabError, UnsupportedError
 from .words import Alphabet
 
 DEFAULT_BUDGET = 10**8
@@ -27,11 +27,17 @@ DEFAULT_BUDGET = 10**8
 
 @dataclass(frozen=True)
 class LanguageOracle:
-    """A named, pure membership predicate over words."""
+    """A named, pure membership predicate over words.
+
+    `max_word_length`, when set, is the longest word the predicate
+    answers exactly; the searches below refuse up front any request
+    that could ask about a longer word.
+    """
 
     name: str
     alphabet: Alphabet
     membership: Callable[[str], bool]
+    max_word_length: Optional[int] = None
 
     def __call__(self, word: str) -> bool:
         return self.membership(word)
@@ -173,6 +179,14 @@ def _guard(queries: int, budget: int) -> None:
         raise BudgetExceeded(queries, budget)
 
 
+def _guard_length(L: LanguageOracle, longest: int) -> None:
+    if L.max_word_length is not None and longest > L.max_word_length:
+        raise UnsupportedError(
+            f"oracle {L.name!r} answers words of up to {L.max_word_length} "
+            f"letters; this request reaches {longest}"
+        )
+
+
 def count_quotients(
     L: LanguageOracle,
     order: int,
@@ -188,6 +202,7 @@ def count_quotients(
         raise StatelabError("order and witness bound must be >= 0")
     alpha = L.alphabet
     _guard(alpha.count_up_to(order) * alpha.count_up_to(witness_bound), budget)
+    _guard_length(L, order + witness_bound)
     witnesses = list(alpha.words_up_to(witness_bound))
     member = L.membership
     classes: Dict[int, str] = {}
@@ -220,6 +235,7 @@ def distinguish(
     witness is re-checked through quotient_member before being handed
     back rather than trusted from the search loop.
     """
+    _guard_length(L, max(len(u), len(v)) + m_max)
     if u == v:
         return None
     member = L.membership
@@ -252,6 +268,7 @@ def query_table(
     row_words = rows.row_words(alpha)
     columns = list(alpha.words_up_to(order))
     _guard(len(row_words) * len(columns), budget)
+    _guard_length(L, order + max(map(len, row_words), default=0))
     member = L.membership
     seen: Dict[int, str] = {}
     dump: Dict[str, str] = {}

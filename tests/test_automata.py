@@ -1,19 +1,29 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statelab import (
     ACCEPT_SINK,
+    FALSE,
     KINDS,
     REJECT_SINK,
+    TRUE,
     AlternatingAutomaton,
     Atom,
     KindError,
+    Or,
     StatelabError,
+    backward_accepts,
     conj,
     determinize_finite,
     disj,
     game_tree_accepts,
     get_language,
 )
+from statelab.automata import DETERMINIZE_STATE_LIMIT, FOLD_STATE_LIMIT
+from statelab.experiments import random_automaton
 
 
 def even_zeros_automaton():
@@ -199,3 +209,88 @@ def test_determinize_requires_declared_states():
     )
     with pytest.raises(StatelabError):
         determinize_finite(m)
+
+
+def _counting(table):
+    """A delta callable over `table` and the list of (q, a) it was asked."""
+    asked = []
+
+    def delta(q, a):
+        asked.append((q, a))
+        return table[(q, a)]
+
+    return delta, asked
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1),
+       st.sampled_from([None, TRUE, FALSE]))
+def test_fold_backward_and_game_tree_agree(seed, constant):
+    A = random_automaton(random.Random(seed))
+    trans = {(q, a): A.delta(q, a) for q in A.states for a in "ab"}
+    if constant is not None:
+        trans[(0, "a")] = constant
+    accepting = {q for q in A.states if A.state_accepting(q)}
+    m = AlternatingAutomaton("ab", 0, trans, accepting, states=A.states)
+    for w in m.alphabet.words_up_to(6):
+        expected = game_tree_accepts(m, w)
+        assert m.accepts(w) == expected, w
+        assert backward_accepts(m, w) == expected, w
+
+
+def test_fold_compiles_every_transition_once():
+    m = small_alternating_automaton()
+    table = {(q, a): m.delta(q, a) for q in m.states for a in "ab"}
+    delta, asked = _counting(table)
+    # the initial state declared last, so its bit is not bit 0
+    fold = AlternatingAutomaton("ab", "start", delta, {"seen", "tail"},
+                                states=m.states[::-1])
+    for w in fold.alphabet.words_up_to(5):
+        assert fold.accepts(w) == game_tree_accepts(m, w)
+    assert sorted(asked) == sorted(table)
+
+
+@pytest.mark.parametrize("declared", [False, True], ids=["lazy", "above-cap"])
+def test_undeclared_and_large_automata_take_the_backward_route(declared):
+    n = FOLD_STATE_LIMIT + 1
+    table = {(q, a): Atom((q + 1) % n if a == "a" else q) for q in range(n) for a in "ab"}
+    delta, asked = _counting(table)
+    m = AlternatingAutomaton("ab", 0, delta, {1}, states=range(n) if declared else None)
+    assert m.accepts("a")
+    assert not m.accepts("b")
+    # only the transitions on the words' runs are ever asked for
+    assert asked == [(0, "a"), (0, "b")]
+    for w in m.alphabet.words_up_to(4):
+        assert m.accepts(w) == backward_accepts(m, w) == game_tree_accepts(m, w)
+
+
+def test_missing_transition_raises_only_where_the_run_reaches_it():
+    trans = {(0, "a"): Atom(1), (0, "b"): Atom(0), (1, "a"): Atom(0)}
+    m = AlternatingAutomaton("ab", 0, trans, {1}, states=[0, 1])
+    assert m.accepts("a")
+    assert m.accepts("ba")
+    assert not m.accepts("aab")
+    for w in ("ab", "bab", "aaab"):
+        with pytest.raises(StatelabError, match=r"no transition declared for \(1, 'b'\)"):
+            m.accepts(w)
+
+
+def test_atom_outside_the_declared_states_raises_only_where_the_run_reaches_it():
+    trans = {(0, "a"): Or((Atom(0), Atom(7))), (0, "b"): Atom(0)}
+    m = AlternatingAutomaton("ab", 0, trans, {7}, states=[0])
+    assert not m.accepts("")
+    assert m.accepts("a")
+    assert not m.accepts("b")
+    assert m.accepts("ba")
+    with pytest.raises(StatelabError, match=r"no transition declared for \(7, 'a'\)"):
+        m.accepts("aa")
+
+
+def test_determinize_refuses_too_many_states_before_any_transition():
+    n = DETERMINIZE_STATE_LIMIT + 1
+    table = {(q, a): Atom(q) for q in range(n) for a in "ab"}
+    delta, asked = _counting(table)
+    m = AlternatingAutomaton("ab", 0, delta, {0}, states=range(n))
+    with pytest.raises(StatelabError, match=f"limited to {DETERMINIZE_STATE_LIMIT} states"):
+        determinize_finite(m, state_cap=1)
+    assert asked == []

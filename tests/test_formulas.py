@@ -1,11 +1,16 @@
 import copy
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import statelab
 from statelab import (
     FALSE,
     TRUE,
@@ -128,6 +133,35 @@ def test_nodes_are_hashable_and_comparable():
     assert And((Atom("x"), Atom("y"))) != Or((Atom("x"), Atom("y")))
 
 
+def test_nodes_have_no_instance_dict():
+    for node in (Atom("x"), And((Atom("x"), TRUE)), Or((Atom("x"), FALSE))):
+        assert not hasattr(node, "__dict__")
+
+
+_REIMPORT = """
+import gc, importlib, sys, weakref
+
+def fresh():
+    for name in [m for m in sys.modules if m == "statelab" or m.startswith("statelab.")]:
+        del sys.modules[name]
+    return importlib.import_module("statelab")
+
+old = weakref.ref(fresh().formulas.Atom)
+fresh()
+gc.collect()
+print("collected" if old() is None else "alive")
+"""
+
+
+def test_reimport_releases_the_previous_formula_classes():
+    src = str(Path(statelab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _REIMPORT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "collected"
+
+
 @pytest.mark.parametrize("clone", [
     lambda f: pickle.loads(pickle.dumps(f)),
     copy.copy,
@@ -139,6 +173,7 @@ def test_constants_stay_singletons_through_pickle_and_copy(clone):
     f = disj([conj([Atom("p"), TRUE]), And((Atom("q"), FALSE)), Or((Atom("r"), TRUE))])
     g = clone(f)
     assert g == f
+    assert hash(g) == hash(f)
     assert evaluate(clone(TRUE), lambda q: False) is True
     assert evaluate(clone(FALSE), lambda q: True) is False
     for truth in ({"p": False, "q": True, "r": False}, {"p": False, "q": False, "r": False}):

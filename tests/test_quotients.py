@@ -8,6 +8,7 @@ from statelab import (
     LanguageOracle,
     RowSpec,
     StatelabError,
+    UnsupportedError,
     count_quotients,
     distinguish,
     from_automaton,
@@ -191,3 +192,23 @@ def test_from_automaton_wraps_acceptance():
     assert L("a")
     assert not L("ab")
     assert L.alphabet == m.alphabet
+
+
+@pytest.mark.parametrize("search", [
+    lambda L: distinguish(L, "1" + "0" * 62, "1" + "0" * 61 + "1", 4),
+    lambda L: count_quotients(L, 40, 25, budget=10**30),
+    lambda L: query_table(L, 2, RowSpec.explicit(["1" * 63])),
+], ids=["distinguish", "count_quotients", "query_table"])
+def test_over_long_primes_requests_fail_before_any_query(search):
+    primes = get_language("primes").oracle
+    asked = []
+
+    def member(word):
+        asked.append(word)
+        return primes(word)
+
+    counted = LanguageOracle(primes.name, primes.alphabet, member,
+                             max_word_length=primes.max_word_length)
+    with pytest.raises(UnsupportedError, match="up to 64 letters"):
+        search(counted)
+    assert asked == []
