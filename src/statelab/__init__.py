@@ -21,6 +21,7 @@ from .errors import (
     KindError,
     StatelabError,
     UnsupportedError,
+    UsageError,
 )
 from .experiments import ExperimentReport, run_all, run_experiment
 from .formulas import FALSE, TRUE, And, Atom, Or, atoms, conj, disj, evaluate, format_formula
@@ -56,6 +57,7 @@ from .quotients import (
     oracle_union,
     query_table,
     quotient_member,
+    split_depth,
 )
 from .words import Alphabet
 
@@ -86,6 +88,7 @@ __all__ = [
     "ThresholdLanguage",
     "TRUE",
     "UnsupportedError",
+    "UsageError",
     "atoms",
     "backward_accepts",
     "bin_frac",
@@ -121,5 +124,6 @@ __all__ = [
     "serialize_automaton",
     "serialize_prob_automaton",
     "sieve",
+    "split_depth",
     "__version__",
 ]

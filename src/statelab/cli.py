@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from .automata import AlternatingAutomaton
-from .errors import BudgetExceeded, FormatError, StatelabError
+from .errors import BudgetExceeded, FormatError, StatelabError, UsageError
 from .experiments import REGISTRY_ORDER, run_all, run_experiment
 from .gallery import LanguageSpec, get_language, names
 from .interchange import load_automaton, load_prob_automaton
@@ -29,10 +29,6 @@ from .quotients import (
     from_automaton,
     query_table,
 )
-
-
-class UsageError(StatelabError):
-    """Bad command line input, distinct from a checked runtime failure."""
 
 
 def _emit(text: str, out: Optional[str]) -> None:

@@ -33,5 +33,9 @@ class BudgetExceeded(StatelabError):
         self.budget = budget
 
 
+class UsageError(StatelabError):
+    """Bad caller input (flags, names, overrides), distinct from a checked runtime failure."""
+
+
 class UnsupportedError(StatelabError):
     """Input is outside the range this implementation guarantees exact answers for."""

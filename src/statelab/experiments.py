@@ -9,6 +9,7 @@ object and printed in text form but excluded from the canonical bytes.
 
 from __future__ import annotations
 
+import inspect
 import json
 import random
 import time
@@ -22,7 +23,7 @@ from .automata import (
     determinize_finite,
     game_tree_accepts,
 )
-from .errors import StatelabError
+from .errors import StatelabError, UsageError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
 from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
@@ -33,12 +34,12 @@ from .quotients import (
     RowSpec,
     canonical_json,
     count_quotients,
-    distinguish,
     from_automaton,
     oracle_intersection,
     oracle_union,
     query_table,
     quotient_member,
+    split_depth,
 )
 from .words import Alphabet
 
@@ -95,7 +96,7 @@ def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentRep
 # ---------------------------------------------------------------------------
 # rabin-claim
 
-def run_rabin_claim(n: int = 8, **_) -> ExperimentReport:
+def run_rabin_claim(n: int = 8) -> ExperimentReport:
     """Pairwise-distinct quotients for all binary words of each length <= n."""
     machine = rabin_automaton()
     lang = ThresholdLanguage(machine)
@@ -146,7 +147,7 @@ def _subset_rows(length: int, alpha: Alphabet, reverse_blocks: bool) -> List[str
     return rows
 
 
-def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
+def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Doubly-exponential query-table growth for the reversed-block language."""
     orders = [n] if n is not None else [1, 2]
     spec = get_language("l-exp")
@@ -175,7 +176,7 @@ def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET, **_) -> E
 # hierarchy:<l>
 
 def run_hierarchy(power: int = 2, n: Optional[int] = None,
-                  budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
+                  budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Query-table lower bound for the block-budget language at order n + 2^(n/l)."""
     if n is None:
         n = power
@@ -209,21 +210,14 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
 # ---------------------------------------------------------------------------
 # primes-hs
 
-def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
+def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Distinct quotients for distinct odd binary words of each length 2..n."""
     spec = get_language("primes")
     measured = {}
     ok = True
     for length in range(2, n + 1):
         odd = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
-        worst = 0
-        undistinguished = 0
-        for u, v in combinations(odd, 2):
-            w = distinguish(spec.oracle, u, v, cap)
-            if w is None:
-                undistinguished += 1
-            else:
-                worst = max(worst, len(w))
+        worst, undistinguished = split_depth(spec.oracle, odd, cap)
         # witnesses up to the worst observed length separate every pair,
         # so counting with that bound certifies >= 2^(length-1) classes
         report = count_quotients(spec.oracle, length, worst, budget=budget)
@@ -280,7 +274,7 @@ def _window_composite_by_trial_division(p: int, radius: int) -> bool:
 
 
 def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
-                      budget: int = DEFAULT_BUDGET, **_) -> ExperimentReport:
+                      budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Isolated primes in every odd residue class; single-hit profile rows."""
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
@@ -341,7 +335,7 @@ _EQUIV_LANGS = ("count-eq3", "not-eq", "lex", "l-hier:2", "maj2")
 _PROFILE_DEPTHS = {"count-eq3": 40, "not-eq": 40, "lex": 40, "maj2": 40, "l-hier:2": 30}
 
 
-def run_gallery_equiv(**_) -> ExperimentReport:
+def run_gallery_equiv() -> ExperimentReport:
     """Oracle agreement plus declared profile ceilings for every gallery automaton."""
     measured = {}
     ok = True
@@ -410,7 +404,7 @@ def random_automaton(rng: random.Random) -> AlternatingAutomaton:
 
 
 def run_core_crosscheck(seed: int = 0, count: int = 1000,
-                        word_bound: int = 6, mono_pairs: int = 10000, **_) -> ExperimentReport:
+                        word_bound: int = 6, mono_pairs: int = 10000) -> ExperimentReport:
     """Four acceptance routes agree; quotients distribute; formulas monotone."""
     rng = random.Random(seed)
     alpha = Alphabet("ab")
@@ -497,21 +491,45 @@ REGISTRY: Dict[str, Callable[..., ExperimentReport]] = {
 
 REGISTRY_ORDER = list(REGISTRY)
 
+# passed to every runner by the CLI and run_all; a runner that does not
+# take one of these simply does not get it
+_SHARED_OVERRIDES = frozenset({"seed", "budget"})
+
+
+def _runner_overrides(exp_id: str, runner, overrides: dict, fixed: dict) -> dict:
+    """The overrides `runner` takes; any other key is a usage error."""
+    takes = set(inspect.signature(runner).parameters) - set(fixed)
+    unknown = sorted(set(overrides) - takes - _SHARED_OVERRIDES)
+    if unknown:
+        raise UsageError(
+            f"experiment {exp_id!r} takes no override {', '.join(unknown)}; "
+            f"it takes: {', '.join(sorted(takes)) or 'none'}"
+        )
+    return {k: v for k, v in overrides.items() if k in takes}
+
 
 def run_experiment(exp_id: str, **overrides) -> ExperimentReport:
-    """Run one experiment by id and time it; 'hierarchy:<l>' takes any l >= 2."""
+    """Run one experiment by id and time it; 'hierarchy:<l>' takes any l >= 2.
+
+    A None override means "use the default". Any other override the
+    experiment does not take raises UsageError before anything runs,
+    except `seed` and `budget`, which experiments that do not use them
+    ignore.
+    """
     clean = {k: v for k, v in overrides.items() if v is not None}
     if exp_id.startswith("hierarchy:"):
-        clean["power"] = hierarchy_exponent(exp_id)
+        fixed = {"power": hierarchy_exponent(exp_id)}
         runner = run_hierarchy
     else:
+        fixed = {}
         runner = REGISTRY.get(exp_id)
         if runner is None:
             raise StatelabError(
                 f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY_ORDER)}"
             )
+    clean = _runner_overrides(exp_id, runner, clean, fixed)
     start = time.perf_counter()
-    report = runner(**clean)
+    report = runner(**clean, **fixed)
     report.duration_seconds = time.perf_counter() - start
     return report
 

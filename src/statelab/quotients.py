@@ -16,8 +16,9 @@ pure membership oracles makes every report byte-deterministic.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, StatelabError, UnsupportedError
 from .words import Alphabet
@@ -247,6 +248,59 @@ def distinguish(
                 )
             return w
     return None
+
+
+def _signature(member: Callable[[str], bool], u: str, witnesses: Sequence[str]) -> int:
+    """Bit i set iff u + witnesses[i] is a member."""
+    sig = 0
+    bit = 1
+    for w in witnesses:
+        if member(u + w):
+            sig |= bit
+        bit <<= 1
+    return sig
+
+
+def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[int, int]:
+    """`distinguish` on every pair of `words` at once.
+
+    Returns (max_witness_length, undistinguished): the longest witness
+    `distinguish(L, u, v, m_max)` finds over all pairs of `words`, and
+    the number of pairs for which it finds none. Each word's signature
+    is its membership bitmask over the witnesses in canonical order,
+    grown one length at a time, so the witness of a pair is the lowest
+    set bit of sig_u ^ sig_v and its length is the level at which the
+    pair's signatures first differ. The search stops at the first level
+    that leaves every two distinct words apart. Every signature is then
+    queried once more, and any bit that changed raises, as the witness
+    re-check in `distinguish` does.
+    """
+    _guard_length(L, max(map(len, words), default=0) + m_max)
+    member = L.membership
+    sigs = [0] * len(words)
+    witnesses: List[str] = []
+    distinct = len(set(words))
+    classes = min(distinct, 1)
+    worst = 0
+    for length in range(m_max + 1):
+        if classes == distinct:
+            break
+        level = list(L.alphabet.words_of_length(length))
+        shift = len(witnesses)
+        witnesses += level
+        sigs = [sig | _signature(member, u, level) << shift for u, sig in zip(words, sigs)]
+        split = len(set(sigs))
+        if split > classes:
+            classes, worst = split, length
+    for u, sig in zip(words, sigs):
+        changed = sig ^ _signature(member, u, witnesses)
+        if changed:
+            w = witnesses[(changed & -changed).bit_length() - 1]
+            raise StatelabError(
+                f"oracle {L.name!r} is not pure: witness {w!r} unstable for prefix {u!r}"
+            )
+    undistinguished = sum(k * (k - 1) // 2 for k in Counter(sigs).values())
+    return worst, undistinguished
 
 
 def query_table(

@@ -1,3 +1,5 @@
+import functools
+import inspect
 import json
 
 import pytest
@@ -214,6 +216,34 @@ def test_experiment_all_rejects_per_experiment_flags(capsys, flag):
     assert code == 2
     assert out == ""
     assert flag in err
+
+
+def test_experiment_override_it_does_not_take_is_usage_error(capsys):
+    code, out, err = run(capsys, "experiment", "rabin-claim", "--count", "5")
+    assert code == 2
+    assert out == ""
+    assert "count" in err
+
+
+@pytest.mark.parametrize("exp_id", ["rabin-claim", "all"])
+def test_experiment_passes_every_runner_only_what_it_takes(capsys, monkeypatch, exp_id):
+    import statelab.experiments as exps
+
+    def stub(runner):
+        # same signature as the real runner, without its work
+        @functools.wraps(runner)
+        def fake(**overrides):
+            inspect.signature(runner).bind(**overrides)
+            return exps.ExperimentReport(
+                experiment=runner.__name__, claim="", parameters={}, measured={},
+                bound="", verdict="pass",
+            )
+        return fake
+
+    monkeypatch.setattr(exps, "REGISTRY", {k: stub(r) for k, r in exps.REGISTRY.items()})
+    code, out, _ = run(capsys, "experiment", exp_id, "--seed", "5", "--format", "csv")
+    assert code == 0
+    assert len(out.splitlines()) == (8 if exp_id == "all" else 2)
 
 
 def test_experiment_bad_hierarchy_exponent_is_a_checked_failure(capsys):

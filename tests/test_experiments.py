@@ -1,12 +1,15 @@
+import inspect
 import json
 
 import pytest
 
-from statelab import StatelabError, run_experiment
+from statelab import StatelabError, UsageError, run_experiment
 from statelab.experiments import (
+    REGISTRY,
     REGISTRY_ORDER,
     ExperimentReport,
     _lsb_word,
+    _runner_overrides,
     _subset_rows,
     random_automaton,
     run_core_crosscheck,
@@ -33,6 +36,48 @@ def test_unknown_experiment_is_rejected():
         run_experiment("hierarchy:x")
     with pytest.raises(StatelabError):
         run_experiment("hierarchy:1")
+
+
+def test_unknown_override_is_a_usage_error():
+    with pytest.raises(UsageError, match="bogus"):
+        run_experiment("exp-alt", bogus=5)
+    # the exponent of hierarchy:<l> comes from the id alone
+    with pytest.raises(UsageError, match="power"):
+        run_experiment("hierarchy:2", power=3)
+    # None means "use the default", as the CLI passes unset flags
+    assert run_experiment("exp-alt", n=1, count=None, limit=None).passed
+
+
+def test_overrides_are_checked_before_the_run(monkeypatch):
+    import statelab.experiments as exps
+
+    ran = []
+
+    def probe(n: int = 1):
+        ran.append(n)
+        return ExperimentReport(
+            experiment="probe", claim="", parameters={}, measured={},
+            bound="", verdict="pass",
+        )
+
+    monkeypatch.setattr(exps, "REGISTRY", {"probe": probe})
+    with pytest.raises(UsageError, match="takes no override bogus; it takes: n"):
+        exps.run_experiment("probe", n=2, bogus=5)
+    assert ran == []
+    # seed and budget go to every experiment; one that takes neither ignores them
+    assert exps.run_experiment("probe", n=2, seed=3, budget=10).passed
+    assert ran == [2]
+
+
+@pytest.mark.parametrize("exp_id", REGISTRY_ORDER)
+def test_every_runner_parameter_is_an_accepted_override(exp_id):
+    runner = REGISTRY[exp_id]
+    params = dict.fromkeys(inspect.signature(runner).parameters, 1)
+    fixed = {"power": 2} if exp_id.startswith("hierarchy:") else {}
+    for key in fixed:
+        params.pop(key)
+    taken = _runner_overrides(exp_id, runner, dict(params, seed=0, budget=1), fixed)
+    assert set(taken) == set(params)
 
 
 def test_subset_rows_enumeration():

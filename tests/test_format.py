@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statelab import (
     AlternatingAutomaton,
     Atom,
     FormatError,
+    ProbAutomaton,
     conj,
     disj,
     load_automaton,
@@ -14,6 +18,7 @@ from statelab import (
     serialize_automaton,
     serialize_prob_automaton,
 )
+from statelab.experiments import random_automaton
 
 DOC = """\
 # accepts words over {a, b} with at least one b followed only by a's
@@ -164,3 +169,39 @@ def test_serialize_renames_non_identifier_states():
     for w in m.alphabet.words_up_to(4):
         assert reparsed.accepts(w) == m.accepts(w)
     assert "(" not in text.split("trans")[0]  # headers use renamed states
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_automaton_round_trip(seed):
+    m = random_automaton(random.Random(seed))
+    text = serialize_automaton(m)
+    loaded = load_automaton(text)
+    assert serialize_automaton(loaded) == text
+    for w in m.alphabet.words_up_to(5):
+        assert loaded.accepts(w) == m.accepts(w), w
+
+
+def random_dyadic_machine(rng: random.Random) -> ProbAutomaton:
+    """Up to four states over {0, 1}; every weight is a multiple of 1/8."""
+    states = list(range(rng.randint(1, 4)))
+    trans = {}
+    for q in states:
+        for a in "01":
+            row = dict.fromkeys(states, 0)
+            for _ in range(8):
+                row[rng.choice(states)] += 1
+            trans[(q, a)] = {t: Fraction(k, 8) for t, k in row.items()}
+    accepting = [q for q in states if rng.random() < 0.5]
+    return ProbAutomaton("01", states, 0, trans, accepting, name="random")
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_random_prob_automaton_round_trip(seed):
+    m = random_dyadic_machine(random.Random(seed))
+    text = serialize_prob_automaton(m)
+    loaded = load_prob_automaton(text)
+    assert serialize_prob_automaton(loaded) == text
+    for w in m.alphabet.words_up_to(5):
+        assert loaded.acceptance_probability(w) == m.acceptance_probability(w), w

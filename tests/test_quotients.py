@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import pytest
 
@@ -17,6 +18,7 @@ from statelab import (
     oracle_union,
     query_table,
     quotient_member,
+    split_depth,
 )
 
 
@@ -75,17 +77,55 @@ def test_distinguish_finds_canonical_shortest_witness():
     assert distinguish(spec.oracle, "ab", "ab", 5) is None
 
 
-def test_distinguish_rechecks_its_answer():
-    alpha = Alphabet("01")
+def flaky_oracle():
+    """True on the first query only."""
     calls = []
 
     def flaky(w):
         calls.append(w)
         return len(calls) == 1
 
-    L = LanguageOracle("flaky", alpha, flaky)
+    return LanguageOracle("flaky", Alphabet("01"), flaky)
+
+
+def test_distinguish_rechecks_its_answer():
     with pytest.raises(StatelabError, match="not pure"):
-        distinguish(L, "0", "1", 2)
+        distinguish(flaky_oracle(), "0", "1", 2)
+
+
+def pairwise_split_depth(L, words, m_max):
+    """(max len(w), number of None) over distinguish on every pair."""
+    found = [distinguish(L, u, v, m_max) for u, v in combinations(words, 2)]
+    return (max((len(w) for w in found if w is not None), default=0),
+            sum(w is None for w in found))
+
+
+def odd_binary_words(length):
+    return [w for w in Alphabet("01").words_of_length(length) if w[0] == "1"]
+
+
+@pytest.mark.parametrize("name,words", [
+    ("primes", odd_binary_words(5)),
+    ("primes", odd_binary_words(7)),
+    ("primes", list(Alphabet("01").words_up_to(4))),
+    ("count-eq3", list(Alphabet("abc").words_up_to(2))),
+    ("lex", list(Alphabet("01#").words_up_to(2))),
+    ("l-log", list(Alphabet("01#").words_of_length(3))),
+    ("lex", ["#", "0#", "1#", "0#", "", "#"]),
+    ("primes", ["1"]),
+    ("primes", []),
+], ids=["primes-odd5", "primes-odd7", "primes-all4", "count-eq3", "lex",
+        "l-log", "lex-duplicates", "one-word", "no-words"])
+@pytest.mark.parametrize("m_max", [0, 1, 2, 4])
+def test_split_depth_equals_distinguish_on_every_pair(name, words, m_max):
+    # caps 0 and 1 leave pairs undistinguished in every list of several words
+    L = get_language(name).oracle
+    assert split_depth(L, words, m_max) == pairwise_split_depth(L, words, m_max)
+
+
+def test_split_depth_rechecks_every_signature():
+    with pytest.raises(StatelabError, match="not pure"):
+        split_depth(flaky_oracle(), ["0", "1"], 2)
 
 
 def test_budget_guard_reports_needed_and_given():
@@ -198,7 +238,8 @@ def test_from_automaton_wraps_acceptance():
     lambda L: distinguish(L, "1" + "0" * 62, "1" + "0" * 61 + "1", 4),
     lambda L: count_quotients(L, 40, 25, budget=10**30),
     lambda L: query_table(L, 2, RowSpec.explicit(["1" * 63])),
-], ids=["distinguish", "count_quotients", "query_table"])
+    lambda L: split_depth(L, ["1" + "0" * 62, "1" * 63], 4),
+], ids=["distinguish", "count_quotients", "query_table", "split_depth"])
 def test_over_long_primes_requests_fail_before_any_query(search):
     primes = get_language("primes").oracle
     asked = []
