@@ -18,10 +18,20 @@ memoized backward value recursion (backward_accepts)
     value(q, |w|) = F(q)
     value(q, i)   = eval(delta(q, w(i)), p -> value(p, i+1))
 
-Both coincide with the two-player acceptance game (Eve resolves ORs,
-Adam resolves ANDs, Eve wins iff the play ends accepting); the test
-suite checks that against an explicit unmemoized game-tree evaluation
-on small instances.
+accepts_up_to(n) decides every word up to length n at once, by the
+same right fold over the reachable fragment: with the states of
+reachable(n) numbered in breadth-first order, the set of states that
+accept a suffix is one bitmask, computed once per distinct (letter,
+mask) pair of each length and shared by every word ending in it.
+
+All of them coincide with the two-player acceptance game (Eve resolves
+ORs, Adam resolves ANDs, Eve wins iff the play ends accepting); the
+test suite checks that against an explicit unmemoized game-tree
+evaluation on small instances.
+
+delta() memoizes transitions for the routes that read them again. The
+reachable-state search expands each (state, letter) pair once, so it
+asks the transition function directly and leaves the memo alone.
 """
 
 from __future__ import annotations
@@ -118,13 +128,18 @@ class AlternatingAutomaton:
         return f"<AlternatingAutomaton {self.name!r} over {self.alphabet.letters!r}>"
 
     def delta(self, q: State, a: str) -> Formula:
+        """The transition formula of (q, a), memoized."""
         key = (q, a)
         f = self._cache.get(key)
         if f is None:
-            f = self._delta_fn(q, a)
-            if not (isinstance(f, (Atom, And, Or)) or f is TRUE or f is FALSE):
-                raise StatelabError(f"delta({q!r}, {a!r}) is not a formula: {f!r}")
-            self._cache[key] = f
+            f = self._cache[key] = self._transition(q, a)
+        return f
+
+    def _transition(self, q: State, a: str) -> Formula:
+        """The transition formula of (q, a), checked but not memoized."""
+        f = self._delta_fn(q, a)
+        if not (isinstance(f, (Atom, And, Or)) or f is TRUE or f is FALSE):
+            raise StatelabError(f"delta({q!r}, {a!r}) is not a formula: {f!r}")
         return f
 
     def state_accepting(self, q: State) -> bool:
@@ -180,34 +195,74 @@ class AlternatingAutomaton:
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
-        return self._search(n, None)[0]
+        return set(self._search(n, None)[0])
 
     def reachable_counts(self, n_max: int, state_cap: Optional[int] = None) -> list:
         """[|reachable(0)|, ..., |reachable(n_max)|] in one incremental BFS."""
         return self._search(n_max, state_cap)[1]
 
+    def accepts_up_to(self, n: int) -> list:
+        """[accepts(w) for w in alphabet.words_up_to(n)], in that order.
+
+        Acc(s), the set of states of reachable(n - |s|) that accept the
+        suffix s, is a bitmask over the states numbered in breadth-first
+        discovery order, so the initial state is bit 0 and reachable(d)
+        is a prefix of the numbering for every d. Acc(eps) = F, and
+        Acc(a.s) holds q of reachable(n - |s| - 1) iff delta(q, a) holds
+        under Acc(s). Words of one length share their suffixes, and the
+        step is memoized on (a, Acc(s)) within each length, so the work
+        grows with the number of distinct masks, not with the number of
+        words. Raises where reachable_counts(n) raises.
+        """
+        order, counts = self._search(n, None)
+        index = {q: i for i, q in enumerate(order)}
+        # the transitions out of reachable(n - 1), the only ones a word reads
+        expanded = order[:counts[n - 1]] if n else []
+        rows = {a: [self._transition(q, a) for q in expanded] for a in self.alphabet}
+        layer = [sum(1 << i for i, q in enumerate(order) if self.state_accepting(q))]
+        accepted = [bool(layer[0] & 1)]
+        for k in range(1, n + 1):
+            sources = counts[n - k]
+            nxt = []
+            for a in self.alphabet:
+                row = rows[a][:sources]
+                step = {}
+                for X in layer:
+                    Y = step.get(X)
+                    if Y is None:
+                        Y = step[X] = _holding(row, index, X)
+                    nxt.append(Y)
+            layer = nxt
+            accepted.extend(bool(X & 1) for X in layer)
+        return accepted
+
     def _search(self, n: int, state_cap: Optional[int]) -> tuple:
-        """(reachable(n), its size after each layer), breadth first."""
+        """(reachable(n) in discovery order, its size after each layer).
+
+        Breadth first; each (q, a) is expanded once, so the transitions
+        go through _transition and stay out of the memo.
+        """
         if n < 0:
             raise StatelabError("depth must be >= 0")
         seen = {self.initial}
-        frontier = [self.initial]
+        order = [self.initial]
         counts = [1]
+        start = 0
         for _ in range(n):
-            nxt = []
-            for q in frontier:
+            end = len(order)
+            for q in order[start:end]:
                 for a in self.alphabet:
-                    for p in atoms(self.delta(q, a)):
+                    for p in atoms(self._transition(q, a)):
                         if p not in seen:
                             seen.add(p)
-                            nxt.append(p)
+                            order.append(p)
             counts.append(len(seen))
             if state_cap is not None and len(seen) > state_cap:
                 raise StatelabError(
                     f"reachable set exceeded the state cap ({len(seen)} > {state_cap})"
                 )
-            frontier = nxt
-        return seen, counts
+            start = end
+        return order, counts
 
     def kind(self, depth: int = 4) -> str:
         """Most restrictive kind fitting all transitions reachable to `depth`.
@@ -242,6 +297,15 @@ def _table_lookup(table: Mapping, q: State, a: str) -> Formula:
         return table[(q, a)]
     except KeyError:
         raise StatelabError(f"no transition declared for ({q!r}, {a!r})") from None
+
+
+def _holding(row: list, index: Mapping, X: int) -> int:
+    """Bit i set iff row[i] holds when the true states are those q with bit index[q] in X."""
+
+    def truth(p: State) -> int:
+        return X >> index[p] & 1
+
+    return sum(1 << i for i, f in enumerate(row) if evaluate(f, truth))
 
 
 def backward_accepts(A: AlternatingAutomaton, word: str) -> bool:

@@ -188,6 +188,17 @@ def _guard_length(L: LanguageOracle, longest: int) -> None:
         )
 
 
+def _signature(member: Callable[[str], bool], u: str, witnesses: Sequence[str]) -> int:
+    """Bit i set iff u + witnesses[i] is a member."""
+    sig = 0
+    bit = 1
+    for w in witnesses:
+        if member(u + w):
+            sig |= bit
+        bit <<= 1
+    return sig
+
+
 def count_quotients(
     L: LanguageOracle,
     order: int,
@@ -208,12 +219,7 @@ def count_quotients(
     member = L.membership
     classes: Dict[int, str] = {}
     for u in alpha.words_up_to(order):
-        sig = 0
-        bit = 1
-        for w in witnesses:
-            if member(u + w):
-                sig |= bit
-            bit <<= 1
+        sig = _signature(member, u, witnesses)
         # first-seen wins: enumeration order is canonical, so the stored
         # representative is the canonically smallest member of its class
         if sig not in classes:
@@ -248,17 +254,6 @@ def distinguish(
                 )
             return w
     return None
-
-
-def _signature(member: Callable[[str], bool], u: str, witnesses: Sequence[str]) -> int:
-    """Bit i set iff u + witnesses[i] is a member."""
-    sig = 0
-    bit = 1
-    for w in witnesses:
-        if member(u + w):
-            sig |= bit
-        bit <<= 1
-    return sig
 
 
 def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[int, int]:

@@ -114,13 +114,13 @@ def test_criterion_5_declared_state_growth_ceilings_hold(gallery_equiv_report):
     for name in ("lex", "not-eq"):
         ok = ok and m[name]["bound_passed"] and m[name]["bound"].endswith("*n")
     ok = ok and m["l-hier:2"]["bound_passed"]
-    ok = ok and m["l-hier:2"]["bound"].endswith("*n^2")
+    ok = ok and m["l-hier:2"]["bound"].endswith("*n^3")
     ok = ok and m["count-eq3"]["bound_passed"]
     ok = ok and m["count-eq3"]["within_(2n+1)^2"]
     _criterion(
         5,
         "reachable-state counts stay under C*n for lex and not-eq (n<=40), "
-        "C*n^2 for l-hier:2 (n<=30), and both 9*n^2 and (2n+1)^2 for "
+        "C*n^3 for l-hier:2 (n<=30), and both 9*n^2 and (2n+1)^2 for "
         "count-eq3 (n<=40)",
         ok,
         report.duration_seconds,

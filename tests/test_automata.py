@@ -294,3 +294,90 @@ def test_determinize_refuses_too_many_states_before_any_transition():
     with pytest.raises(StatelabError, match=f"limited to {DETERMINIZE_STATE_LIMIT} states"):
         determinize_finite(m, state_cap=1)
     assert asked == []
+
+
+# ---------------------------------------------------------------------------
+# accepts_up_to and the reachable-state search
+
+GALLERY_AUTOMATA = ("count-eq3", "not-eq", "lex", "l-hier:2", "maj2")
+
+
+@pytest.mark.parametrize("name", GALLERY_AUTOMATA)
+def test_accepts_up_to_matches_accepts_on_gallery_automata(name):
+    m = get_language(name).automaton
+    expected = [m.accepts(w) for w in m.alphabet.words_up_to(6)]
+    for n in range(7):
+        got = m.accepts_up_to(n)
+        assert len(got) == m.alphabet.count_up_to(n)
+        assert got == expected[:len(got)], n
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_accepts_up_to_matches_accepts_on_random_automata(seed, declared):
+    A = random_automaton(random.Random(seed))
+    trans = {(q, a): A.delta(q, a) for q in A.states for a in "ab"}
+    accepting = {q for q in A.states if A.state_accepting(q)}
+    # declared: accepts folds over lattice tables; undeclared: backward recursion
+    m = AlternatingAutomaton("ab", 0, trans, accepting, states=A.states if declared else None)
+    assert m.accepts_up_to(5) == [m.accepts(w) for w in m.alphabet.words_up_to(5)]
+
+
+def test_accepts_up_to_edge_depths():
+    m = small_alternating_automaton()
+    assert m.accepts_up_to(0) == [m.state_accepting("start")] == [False]
+    assert AlternatingAutomaton("ab", 0, {}, {0}).accepts_up_to(0) == [True]
+    for n in range(5):
+        assert len(m.accepts_up_to(n)) == m.alphabet.count_up_to(n)
+    with pytest.raises(StatelabError, match="depth must be >= 0"):
+        m.accepts_up_to(-1)
+
+
+def _chain_with_fault_at_2(fault):
+    """States 0, 1, 2, ... with q -> q+1 on both letters; (2, 'a') is faulty.
+
+    fault "not-a-formula": delta(2, 'a') returns a string;
+    fault "missing-row": the transition table has no (2, 'a') row.
+    """
+    table = {(q, a): Atom(q + 1) for q in range(6) for a in "ab"}
+    if fault == "missing-row":
+        del table[(2, "a")]
+        return AlternatingAutomaton("ab", 0, table, {3})
+    return AlternatingAutomaton(
+        "ab", 0, lambda q, a: "not a formula" if (q, a) == (2, "a") else table[(q, a)], {3})
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("not-a-formula", r"delta\(2, 'a'\) is not a formula"),
+    ("missing-row", r"no transition declared for \(2, 'a'\)"),
+])
+def test_accepts_up_to_raises_only_on_transitions_within_depth_n_minus_1(fault, message):
+    m = _chain_with_fault_at_2(fault)
+    # state 2 is first reached at depth 2, so depths up to 2 never read its row
+    assert m.accepts_up_to(2) == [False] * 7
+    assert m.reachable_counts(2) == [1, 2, 3]
+    for n in (3, 4):
+        with pytest.raises(StatelabError, match=message):
+            m.accepts_up_to(n)
+        with pytest.raises(StatelabError, match=message):
+            m.reachable_counts(n)
+
+
+def test_reachable_counts_asks_each_expanded_transition_once_and_memoizes_none():
+    source = get_language("count-eq3").automaton
+    delta_calls = []
+
+    def delta(q, a):
+        delta_calls.append((q, a))
+        return source.delta(q, a)
+
+    m = AlternatingAutomaton(source.alphabet, source.initial, delta, lambda q: False)
+    assert m.reachable_counts(6) == [1, 4, 10, 19, 31, 46, 64]
+    expanded = [(q, a) for q in source.reachable(5) for a in source.alphabet]
+    assert sorted(delta_calls) == sorted(expanded)
+    # nothing was memoized: the first delta() of each pair asks again,
+    # the second is answered from the memo
+    delta_calls.clear()
+    for q, a in expanded * 2:
+        m.delta(q, a)
+    assert sorted(delta_calls) == sorted(expanded)

@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
-from statelab import StatelabError, get_language
+from statelab import ComplexityProfile, StatelabError, check_bound, get_language, profile
 from statelab.gallery import hierarchy_exponent, names
 
 
@@ -161,7 +163,7 @@ def test_declared_classes_present_where_promised():
     assert get_language("not-eq").declared_class == ("n", 7)
     assert get_language("lex").declared_class == ("n", 6)
     assert get_language("maj2").declared_class == ("n", 3)
-    assert get_language("l-hier:2").declared_class == ("n^2", 71)
+    assert get_language("l-hier:2").declared_class == ("n^3", 3)
     assert get_language("l-exp").declared_class is None
 
 
@@ -170,3 +172,23 @@ def test_specs_carry_consistent_alphabets():
         spec = get_language(name)
         assert spec.automaton.alphabet == spec.alphabet
         assert spec.validation_bound >= 6
+
+
+@pytest.fixture(scope="module")
+def hier2_profile_48():
+    return profile(get_language("l-hier:2").automaton, 48)
+
+
+def test_hier2_declared_cubic_ceiling_holds_to_depth_48(hier2_profile_48):
+    cls, constant = get_language("l-hier:2").declared_class
+    check = check_bound(hier2_profile_48, cls, constant)
+    assert check.passed
+    # count / n^3 is still rising at 48, towards but below 3
+    assert check.max_ratio == Fraction(273571, 48**3)
+
+
+def test_hier2_former_quadratic_ceiling_fails_by_depth_40(hier2_profile_48):
+    to_40 = ComplexityProfile("l-hier:2", hier2_profile_48.counts[:41])
+    check = check_bound(to_40, "n^2", 71)
+    assert not check.passed
+    assert [n for n, ok in enumerate(check.verdicts) if not ok] == list(range(31, 41))
