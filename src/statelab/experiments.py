@@ -98,6 +98,8 @@ def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentRep
 
 def run_rabin_claim(n: int = 8) -> ExperimentReport:
     """Pairwise-distinct quotients for all binary words of each length <= n."""
+    if n < 1:
+        raise UsageError(f"rabin-claim needs n >= 1, got {n}")
     machine = rabin_automaton()
     lang = ThresholdLanguage(machine)
     alpha = Alphabet("01")
@@ -212,24 +214,40 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
 
 def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Distinct quotients for distinct odd binary words of each length 2..n."""
+    if n < 2:
+        raise UsageError(f"primes-hs needs n >= 2, got {n}")
+    if cap < 0:
+        raise UsageError(f"primes-hs needs a witness cap >= 0, got {cap}")
     spec = get_language("primes")
+    lengths = range(2, n + 1)
+    splits = {
+        length: split_depth(
+            spec.oracle,
+            [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"],
+            cap,
+        )
+        for length in lengths
+    }
+    # witnesses up to a length's worst observed witness separate all its
+    # pairs, so counting with that bound certifies >= 2^(length-1)
+    # classes; one sweep to the longest of them holds every length's count
+    sweep = count_quotients(
+        spec.oracle, n, max(worst for worst, _ in splits.values()), budget=budget
+    )
     measured = {}
     ok = True
-    for length in range(2, n + 1):
-        odd = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
-        worst, undistinguished = split_depth(spec.oracle, odd, cap)
-        # witnesses up to the worst observed length separate every pair,
-        # so counting with that bound certifies >= 2^(length-1) classes
-        report = count_quotients(spec.oracle, length, worst, budget=budget)
+    for length in lengths:
+        worst, undistinguished = splits[length]
+        classes = sweep.classes_within(length, worst).count
         need = 1 << (length - 1)
         measured[str(length)] = {
-            "pairs": len(odd) * (len(odd) - 1) // 2,
+            "pairs": need * (need - 1) // 2,
             "undistinguished": undistinguished,
             "max_witness_length": worst,
-            "classes": report.count,
+            "classes": classes,
             "required_classes": need,
         }
-        ok = ok and undistinguished == 0 and report.count >= need
+        ok = ok and undistinguished == 0 and classes >= need
     return _report(
         "primes-hs",
         "Distinct odd binary words of equal length have different left "
@@ -276,6 +294,8 @@ def _window_composite_by_trial_division(p: int, radius: int) -> bool:
 def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
                       budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Isolated primes in every odd residue class; single-hit profile rows."""
+    if n is not None and n < 1:
+        raise UsageError(f"primes-linear needs n >= 1, got {n}")
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
     measured = {}
@@ -345,9 +365,9 @@ def run_gallery_equiv() -> ExperimentReport:
         accepted = spec.automaton.accepts_up_to(spec.validation_bound)
         mismatches = sum(a != spec.oracle(w) for w, a in zip(words, accepted, strict=True))
         entry = {"validation_bound": spec.validation_bound, "mismatches": mismatches}
+        prof = profile(spec.automaton, _PROFILE_DEPTHS[name])
         if spec.declared_class is not None:
             cls, constant = spec.declared_class
-            prof = profile(spec.automaton, _PROFILE_DEPTHS[name])
             check = check_bound(prof, cls, constant)
             entry["bound"] = f"{constant}*{cls}"
             entry["bound_passed"] = check.passed
@@ -356,7 +376,6 @@ def run_gallery_equiv() -> ExperimentReport:
         if name == "count-eq3":
             # the reachable set of the two-counter automaton also fits
             # under the direct (2n+1)^2 ceiling
-            prof = profile(spec.automaton, 40)
             direct = all(c <= (2 * k + 1) ** 2 for k, c in enumerate(prof.counts))
             entry["within_(2n+1)^2"] = direct
             ok = ok and direct

@@ -1,14 +1,18 @@
 """Exact primality below 2^64 and small number-theoretic searches.
 
 The membership oracle for the primes language calls is_prime on the
-integer value of a binary word, so it has to be fast and exact. Below
-2^64 the Miller-Rabin test with fixed witness sets is a proven
-deterministic test; the thresholds used here are the classical ones, so
-small inputs get away with very few witness rounds.
+integer value of a binary word, so it has to be fast and exact. Values
+below 2^16 are looked up in a byte table that `sieve` builds once at
+import (64 KB). Larger values first go through one gcd with the product
+of the twelve primes up to 37, then through the Miller-Rabin test with
+fixed witness sets, which is a proven deterministic test below 2^64; the
+thresholds used are the classical ones, so smaller inputs get away with
+fewer witness rounds.
 """
 
 from __future__ import annotations
 
+from math import gcd, prod
 from typing import Optional
 
 from .errors import StatelabError, UnsupportedError
@@ -29,25 +33,26 @@ _MR_LADDER = (
     (TWO_64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
 )
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# every prime up to 37; one gcd with their product tests them all
+_SMALL_PRIMES_PRODUCT = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
 
 
 def is_prime(n: int) -> bool:
     """Deterministic primality for 0 <= n < 2^64."""
-    if n < 0:
-        raise StatelabError("primality is defined for naturals")
+    if not isinstance(n, int):
+        raise StatelabError(f"primality is defined for integers, not {n!r}")
+    if n < _TABLE_SIZE:
+        if n < 0:
+            raise StatelabError("primality is defined for naturals")
+        return _TABLE[n] == 1
     if n >= TWO_64:
         raise UnsupportedError(f"{n} >= 2^64; witness set not exact there")
-    if n < 2:
+    # n is above every small prime, so any common factor makes it composite
+    if gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
     d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
     for bound, witnesses in _MR_LADDER:
         if n < bound:
             break
@@ -66,6 +71,8 @@ def is_prime(n: int) -> bool:
 
 def sieve(limit: int) -> bytearray:
     """Byte table t with t[k] = 1 iff k is prime, for 0 <= k <= limit."""
+    if not isinstance(limit, int) or limit < 0:
+        raise StatelabError(f"sieve limit must be an integer >= 0, not {limit!r}")
     table = bytearray([1]) * (limit + 1)
     for k in (0, 1):
         if k <= limit:
@@ -76,6 +83,11 @@ def sieve(limit: int) -> bytearray:
     return table
 
 
+# primality of every n below the table size, read by is_prime
+_TABLE_SIZE = 1 << 16
+_TABLE = sieve(_TABLE_SIZE - 1)
+
+
 def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     """Smallest k in [1, limit] making p = a + 2^n * k an isolated prime.
 
@@ -83,6 +95,8 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     [p - 2^n, p + 2^n]. a must be odd and below 2^n. Returns None when
     the search range is exhausted (limit = 0 searches nothing).
     """
+    if n_bits < 0:
+        raise StatelabError(f"n = {n_bits} is negative")
     if a < 1 or a % 2 == 0:
         raise StatelabError(f"a = {a} is not a positive odd residue")
     step = 1 << n_bits
@@ -96,7 +110,12 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
 
 
 def _isolated(p: int, radius: int) -> bool:
-    for q in range(max(p - radius, 2), p + radius + 1):
+    """No prime other than p in [p - radius, p + radius]."""
+    lo, hi = p - radius, p + radius
+    if lo <= 2 <= hi and p != 2:
+        return False
+    # 2 is the only even prime, so the odd q are all that is left to test
+    for q in range(max(lo, 3) | 1, hi + 1, 2):
         if q != p and is_prime(q):
             return False
     return True

@@ -31,13 +31,11 @@ HALF = Fraction(1, 2)
 
 def bin_int(word: str) -> int:
     """Integer value of a binary word, least significant digit first."""
-    value = 0
-    for i, ch in enumerate(word):
-        if ch == "1":
-            value += 1 << i
-        elif ch != "0":
-            raise StatelabError(f"not a binary word: {word!r}")
-    return value
+    # int() alone would also take signs, underscores, spaces and
+    # non-ASCII digits
+    if word.strip("01"):
+        raise StatelabError(f"not a binary word: {word!r}")
+    return int(word[::-1], 2) if word else 0
 
 
 def bin_frac(word: str) -> Fraction:

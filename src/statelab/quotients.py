@@ -85,6 +85,45 @@ class QuotientCountReport:
     witness_bound: int
     count: int
     representatives: List[str]
+    # each class's membership bitmask over A^{<=witness_bound}, bit i for
+    # the i-th witness in canonical order, parallel to `representatives`;
+    # read by classes_within and never rendered
+    signatures: List[int] = field(default_factory=list, repr=False, compare=False)
+    alphabet: Optional[Alphabet] = field(default=None, repr=False, compare=False)
+
+    def classes_within(self, order: int, witness_bound: int) -> "QuotientCountReport":
+        """The report count_quotients(L, order, witness_bound) gives, without a query.
+
+        Needs order <= self.order and witness_bound <= self.witness_bound.
+        In canonical order the prefixes of length <= order are the first
+        prefixes this report partitioned, and the witnesses of length
+        <= witness_bound give the low bits of each signature. A class
+        meets the shorter prefixes iff its representative, its first
+        member, is one of them, and merging classes on the low bits
+        keeps the first representative of each merged class.
+        """
+        if self.alphabet is None:
+            raise StatelabError("this report carries no signatures")
+        if not (0 <= order <= self.order and 0 <= witness_bound <= self.witness_bound):
+            raise StatelabError(
+                f"order {order} and witness bound {witness_bound} must lie within "
+                f"0..{self.order} and 0..{self.witness_bound}"
+            )
+        mask = (1 << self.alphabet.count_up_to(witness_bound)) - 1
+        classes: Dict[int, str] = {}
+        for sig, rep in zip(self.signatures, self.representatives):
+            if len(rep) > order:
+                break
+            classes.setdefault(sig & mask, rep)
+        return QuotientCountReport(
+            language=self.language,
+            order=order,
+            witness_bound=witness_bound,
+            count=len(classes),
+            representatives=list(classes.values()),
+            signatures=list(classes),
+            alphabet=self.alphabet,
+        )
 
     def to_json(self) -> str:
         return canonical_json(
@@ -230,6 +269,8 @@ def count_quotients(
         witness_bound=witness_bound,
         count=len(classes),
         representatives=list(classes.values()),
+        signatures=list(classes),
+        alphabet=alpha,
     )
 
 

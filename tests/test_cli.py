@@ -246,6 +246,20 @@ def test_experiment_passes_every_runner_only_what_it_takes(capsys, monkeypatch, 
     assert len(out.splitlines()) == (8 if exp_id == "all" else 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ("primes-linear", "--n", "0"),
+    ("primes-hs", "--n", "0"),
+    ("primes-hs", "--n", "1"),
+    ("rabin-claim", "--n", "0"),
+], ids=lambda argv: " ".join(argv))
+def test_experiment_size_out_of_range_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, "experiment", *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "needs n >= " in err
+    assert "Traceback" not in err
+
+
 def test_experiment_bad_hierarchy_exponent_is_a_checked_failure(capsys):
     for exp_id in ("hierarchy:x", "hierarchy:1"):
         code, _, err = run(capsys, "experiment", exp_id)

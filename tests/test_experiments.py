@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from statelab import StatelabError, UsageError, run_experiment
+from statelab import StatelabError, UsageError, get_language, run_experiment
 from statelab.experiments import (
     REGISTRY,
     REGISTRY_ORDER,
@@ -135,6 +135,65 @@ def test_primes_hs_small_run_passes():
     assert report.passed
     assert report.measured["3"]["undistinguished"] == 0
     assert report.measured["3"]["classes"] >= 4
+
+
+def test_primes_hs_reads_every_length_from_one_quotient_sweep(monkeypatch):
+    import statelab.experiments as exps
+
+    calls = []
+    count_quotients = exps.count_quotients
+
+    def recording(L, order, witness_bound, budget):
+        calls.append((order, witness_bound))
+        return count_quotients(L, order, witness_bound, budget)
+
+    monkeypatch.setattr(exps, "count_quotients", recording)
+    report = run_experiment("primes-hs", n=7)
+    assert report.passed
+    worst = {int(k): entry["max_witness_length"] for k, entry in report.measured.items()}
+    assert calls == [(7, max(worst.values()))]
+    primes = get_language("primes").oracle
+    for length, m in worst.items():
+        assert report.measured[str(length)]["classes"] == count_quotients(primes, length, m).count
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("an out-of-range run got as far as building its language")
+
+
+@pytest.mark.parametrize("exp_id,overrides", [
+    ("primes-linear", {"n": 0}),
+    ("primes-linear", {"n": -2}),
+    ("primes-hs", {"n": 0}),
+    ("primes-hs", {"n": 1}),
+    ("primes-hs", {"n": 4, "cap": -1}),
+    ("rabin-claim", {"n": 0}),
+], ids=["primes-linear-n0", "primes-linear-n-2", "primes-hs-n0", "primes-hs-n1",
+        "primes-hs-cap-1", "rabin-claim-n0"])
+def test_out_of_range_sizes_fail_before_any_work(monkeypatch, exp_id, overrides):
+    import statelab.experiments as exps
+
+    monkeypatch.setattr(exps, "get_language", _refuse)
+    monkeypatch.setattr(exps, "rabin_automaton", _refuse)
+    with pytest.raises(UsageError, match=">= "):
+        run_experiment(exp_id, **overrides)
+
+
+def test_gallery_equiv_profiles_each_automaton_once(monkeypatch):
+    import statelab.experiments as exps
+
+    depths = []
+    profile = exps.profile
+
+    def recording(automaton, depth):
+        depths.append((automaton.name, depth))
+        return profile(automaton, depth)
+
+    monkeypatch.setattr(exps, "profile", recording)
+    assert exps.run_gallery_equiv().passed
+    names = [name for name, _ in depths]
+    assert len(names) == len(set(names)) == len(exps._EQUIV_LANGS)
+    assert ("count-eq3", 40) in depths
 
 
 def test_core_crosscheck_is_deterministic_for_a_seed():

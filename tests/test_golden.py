@@ -48,6 +48,24 @@ def test_experiment_report_bytes(exp_id, overrides, length, digest):
     assert actual == (length, digest), text
 
 
+# the primes runs at benchmark scale, where the quotient sweep and the
+# prime oracle do most of their work
+PRIMES_DIGESTS = [
+    ("primes-hs", {"n": 10}, 1247,
+     "0373d27e1f682f83648e47187dff503f0352f975cea51a010fe7f6fd41585a4f"),
+    ("primes-linear", {"n": 5}, 694,
+     "8c06b5d9c452d77db5ba361945190814c11a62f7c47f4985d53f83b413651441"),
+]
+
+
+@pytest.mark.parametrize(
+    "exp_id,overrides,length,digest", PRIMES_DIGESTS,
+    ids=[f"{exp_id}-n{overrides['n']}" for exp_id, overrides, *_ in PRIMES_DIGESTS],
+)
+def test_primes_report_bytes_at_benchmark_scale(exp_id, overrides, length, digest):
+    test_experiment_report_bytes(exp_id, overrides, length, digest)
+
+
 def test_complexity_profile_bytes():
     prof = profile(get_language("maj2").automaton, 4)
     assert prof.to_json() == '{"automaton":"maj2","counts":[1,3,5,7,9]}'

@@ -1,6 +1,7 @@
 import pytest
 
 from statelab import StatelabError, UnsupportedError, find_isolated_prime, is_prime, sieve
+from statelab.primes import _isolated
 
 
 def test_small_values():
@@ -16,6 +17,12 @@ def test_small_values():
 def test_negative_input_is_an_error():
     with pytest.raises(StatelabError):
         is_prime(-7)
+
+
+@pytest.mark.parametrize("value", [7.0, 9.0, 7.5, "7", None])
+def test_non_integer_input_is_an_error(value):
+    with pytest.raises(StatelabError):
+        is_prime(value)
 
 
 def test_carmichael_numbers_are_composite():
@@ -43,6 +50,19 @@ def test_sieve_edges():
     assert list(sieve(2)) == [0, 0, 1]
     flagged = [k for k, flag in enumerate(sieve(30)) if flag]
     assert flagged == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+@pytest.mark.parametrize("limit", [-1, -10, 2.5, "9"])
+def test_sieve_rejects_a_bad_limit(limit):
+    with pytest.raises(StatelabError):
+        sieve(limit)
+
+
+def test_sieve_and_deterministic_test_agree_across_the_table_edge():
+    # is_prime reads a table below 2^16 and runs the gcd filter and
+    # Miller-Rabin above it
+    table = sieve(1 << 20)
+    assert [n for n, flag in enumerate(table) if is_prime(n) != bool(flag)] == []
 
 
 def test_sieve_and_deterministic_test_agree():
@@ -75,3 +95,19 @@ def test_find_isolated_prime_input_validation():
         find_isolated_prime(5, 2, 100)  # residue at least 2^n
     with pytest.raises(StatelabError):
         find_isolated_prime(-1, 2, 100)
+
+
+def test_find_isolated_prime_rejects_a_negative_shift():
+    with pytest.raises(StatelabError, match="negative"):
+        find_isolated_prime(1, -1, 5)
+
+
+def full_scan_isolated(table, p, radius):
+    return all(q == p or not table[q] for q in range(max(p - radius, 2), p + radius + 1))
+
+
+def test_odd_only_isolation_scan_matches_the_full_scan():
+    table = sieve(20_000 + 64)
+    for radius in range(2, 65):
+        for p in range(20_000):
+            assert _isolated(p, radius) == full_scan_isolated(table, p, radius), (p, radius)

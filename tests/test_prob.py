@@ -39,6 +39,37 @@ def test_bin_rejects_non_binary():
         bin_int("102")
 
 
+def letter_loop_bin_int(word):
+    """Reference: one letter at a time, least significant first."""
+    value = 0
+    for i, ch in enumerate(word):
+        if ch == "1":
+            value += 1 << i
+        elif ch != "0":
+            raise ValueError(word)
+    return value
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="01", max_size=200))
+def test_bin_int_matches_the_letter_loop(w):
+    assert bin_int(w) == letter_loop_bin_int(w)
+
+
+def test_bin_int_matches_the_letter_loop_on_the_empty_and_a_long_word():
+    long_word = "".join("1" if i % 3 == 0 or i % 7 == 5 else "0" for i in range(10_000))
+    for w in ("", long_word, "0" * 10_000, long_word + "1"):
+        assert bin_int(w) == letter_loop_bin_int(w)
+
+
+@pytest.mark.parametrize("word", [
+    "2", "1_0", " 1", "1 ", "+1", "-1", "0b1", "\u0661", "\uff11", "1\n",
+])
+def test_bin_int_rejects_everything_int_would_also_parse(word):
+    with pytest.raises(StatelabError, match="not a binary word"):
+        bin_int(word)
+
+
 @settings(derandomize=True, max_examples=200)
 @given(binary_words)
 def test_bin_frac_is_int_over_power_of_two(w):
