@@ -108,14 +108,17 @@ def cmd_profile(args) -> int:
     bound_class = args.bound_class
     constant = args.constant
     if bound_class is None and spec is not None and spec.declared_class is not None:
-        bound_class, constant = spec.declared_class
+        bound_class, declared = spec.declared_class
+        if constant is None:
+            constant = declared
+    if bound_class is None and constant is not None:
+        raise UsageError(f"--constant needs a ceiling: {args.ref!r} declares none, "
+                         "so give --bound-class")
     prof = profile(automaton, args.depth)
     if bound_class is None:
         _emit(_render(prof, args.format), args.out)
         return 0
-    if constant is None:
-        constant = 1
-    check = check_bound(prof, bound_class, constant)
+    check = check_bound(prof, bound_class, 1 if constant is None else constant)
     if args.format == "json":
         text = canonical_json(
             {"automaton": prof.name, "profile": prof.counts, "bound": check.payload()}
@@ -174,11 +177,6 @@ def cmd_experiment(args) -> int:
         return 0
     if args.id is None:
         raise UsageError("need an experiment id, 'all', or --list")
-    known = args.id in ("all", *REGISTRY_ORDER) or args.id.startswith("hierarchy:")
-    if not known:
-        raise UsageError(
-            f"unknown experiment {args.id!r}; known: {', '.join(REGISTRY_ORDER)}"
-        )
     fmt = args.format
     if args.id == "all":
         for flag in ("n", "limit", "count"):
@@ -226,10 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text", help="output format")
         p.add_argument("--out", help="write the report to this file")
+
+    def budget(p):
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="membership query budget")
-        p.add_argument("--seed", type=lambda s: int(s) % (1 << 64), default=0,
-                       help="seed for randomized checks (unsigned 64-bit)")
 
     p = sub.add_parser("eval", help="run one word through an automaton")
     p.add_argument("ref", help="gallery language name or interchange file")
@@ -241,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("depth", type=int)
     p.add_argument("--bound-class", help="ceiling shape: const, n, n^<k>, 2^n")
     p.add_argument("--constant", type=int,
-                   help="multiplier for the ceiling (defaults to the "
-                   "gallery's declared constant)")
+                   help="multiplier for the declared or --bound-class "
+                   "ceiling (default: the declared constant, else 1)")
     common(p)
     p.set_defaults(func=cmd_profile)
 
@@ -253,6 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", type=int, required=True,
                    help="max witness length")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_quotients)
 
     p = sub.add_parser("query-table", help="count membership-profile rows")
@@ -266,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profiles", action="store_true",
                    help="include each representative's profile bits")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_query_table)
 
     p = sub.add_parser("prob", help="probabilistic automaton operations")
@@ -293,7 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the search limit (primes-linear)")
     p.add_argument("--count", type=int, default=None,
                    help="override the sample count (core-crosscheck)")
+    p.add_argument("--seed", type=lambda s: int(s) % (1 << 64), default=0,
+                   help="seed for randomized checks (unsigned 64-bit)")
     common(p)
+    budget(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("gallery", help="list built-in languages")

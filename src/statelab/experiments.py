@@ -82,6 +82,12 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
+def _need(exp_id: str, name: str, value: Optional[int], least: int) -> None:
+    """A size below `least` leaves nothing to check: a usage error up front."""
+    if value is not None and value < least:
+        raise UsageError(f"{exp_id} needs {name} >= {least}, got {value}")
+
+
 def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentReport:
     return ExperimentReport(
         experiment=experiment,
@@ -98,8 +104,7 @@ def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentRep
 
 def run_rabin_claim(n: int = 8) -> ExperimentReport:
     """Pairwise-distinct quotients for all binary words of each length <= n."""
-    if n < 1:
-        raise UsageError(f"rabin-claim needs n >= 1, got {n}")
+    _need("rabin-claim", "n", n, 1)
     machine = rabin_automaton()
     lang = ThresholdLanguage(machine)
     alpha = Alphabet("01")
@@ -151,6 +156,7 @@ def _subset_rows(length: int, alpha: Alphabet, reverse_blocks: bool) -> List[str
 
 def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Doubly-exponential query-table growth for the reversed-block language."""
+    _need("exp-alt", "n", n, 0)
     orders = [n] if n is not None else [1, 2]
     spec = get_language("l-exp")
     binary = Alphabet("01")
@@ -182,15 +188,10 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
     """Query-table lower bound for the block-budget language at order n + 2^(n/l)."""
     if n is None:
         n = power
+    _need(f"hierarchy:{power}", "n", n, 0)
     if n % power != 0:
-        raise StatelabError(f"n must be a multiple of {power} so 2^(n/l) is integral")
-    p = 1 << (n // power)
-    order = n + p
-    if p**power < 1 << n:
-        raise StatelabError(
-            f"subset rows need up to 2^n = {1 << n} blocks but the budget "
-            f"at prefix length {p} is {p ** power}"
-        )
+        raise UsageError(f"n must be a multiple of {power} so 2^(n/l) is integral")
+    order = n + (1 << (n // power))
     spec = get_language(f"l-hier:{power}")
     binary = Alphabet("01")
     rows = _subset_rows(n, binary, reverse_blocks=False)
@@ -214,10 +215,8 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
 
 def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Distinct quotients for distinct odd binary words of each length 2..n."""
-    if n < 2:
-        raise UsageError(f"primes-hs needs n >= 2, got {n}")
-    if cap < 0:
-        raise UsageError(f"primes-hs needs a witness cap >= 0, got {cap}")
+    _need("primes-hs", "n", n, 2)
+    _need("primes-hs", "cap", cap, 0)
     spec = get_language("primes")
     lengths = range(2, n + 1)
     splits = {
@@ -266,7 +265,7 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
 def _lsb_word(value: int) -> str:
     if value <= 0:
         raise StatelabError("need a positive value")
-    return "".join("1" if value >> i & 1 else "0" for i in range(value.bit_length()))
+    return format(value, "b")[::-1]
 
 
 def _window_composite_by_trial_division(p: int, radius: int) -> bool:
@@ -294,8 +293,8 @@ def _window_composite_by_trial_division(p: int, radius: int) -> bool:
 def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
                       budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Isolated primes in every odd residue class; single-hit profile rows."""
-    if n is not None and n < 1:
-        raise UsageError(f"primes-linear needs n >= 1, got {n}")
+    _need("primes-linear", "n", n, 1)
+    _need("primes-linear", "limit", limit, 1)
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
     measured = {}
@@ -424,6 +423,10 @@ def random_automaton(rng: random.Random) -> AlternatingAutomaton:
 def run_core_crosscheck(seed: int = 0, count: int = 1000,
                         word_bound: int = 6, mono_pairs: int = 10000) -> ExperimentReport:
     """Four acceptance routes agree; quotients distribute; formulas monotone."""
+    # fewer than two automata leave the lattice suite without a pair
+    _need("core-crosscheck", "count", count, 2)
+    _need("core-crosscheck", "word_bound", word_bound, 0)
+    _need("core-crosscheck", "mono_pairs", mono_pairs, 1)
     rng = random.Random(seed)
     alpha = Alphabet("ab")
     words = list(alpha.words_up_to(word_bound))
@@ -542,7 +545,7 @@ def run_experiment(exp_id: str, **overrides) -> ExperimentReport:
         fixed = {}
         runner = REGISTRY.get(exp_id)
         if runner is None:
-            raise StatelabError(
+            raise UsageError(
                 f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY_ORDER)}"
             )
     clean = _runner_overrides(exp_id, runner, clean, fixed)

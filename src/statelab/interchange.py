@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 
 from .automata import AlternatingAutomaton
 from .errors import FormatError
-from .formulas import FALSE, TRUE, Atom, Formula, And, Or, conj, disj, format_formula
+from .formulas import FALSE, TRUE, Atom, Formula, atoms, conj, disj, format_formula
 from .prob import ProbAutomaton
 from .words import Alphabet
 
@@ -44,24 +44,13 @@ def _check_state_name(name: str, where: str) -> str:
 # ---------------------------------------------------------------------------
 # formula parsing
 
-_TOKEN_RE = re.compile(r"\s*([&|()]|[^\s&|()]+)")
-
-
-def _tokenize_formula(text: str) -> List[Tuple[str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            break
-        tokens.append((m.group(1), m.start(1)))
-        pos = m.end()
-    return tokens
+# every non-space character starts a token, so finditer skips nothing
+_TOKEN_RE = re.compile(r"[&|()]|[^\s&|()]+")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse the formula grammar; raises FormatError with a column number."""
-    tokens = _tokenize_formula(text)
+    tokens = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(text)]
     if not tokens:
         raise FormatError("empty formula")
     i = 0
@@ -252,17 +241,12 @@ def load_automaton(text: str, name: str = "loaded") -> AlternatingAutomaton:
     _validate_symbols(doc)
     declared = set(doc.states)
     for (state, letter), formula in doc.trans.items():
-        stack = [formula]
-        while stack:
-            f = stack.pop()
-            if isinstance(f, Atom):
-                if f.state not in declared:
-                    raise FormatError(
-                        f"transition ({state}, {letter}) mentions "
-                        f"undeclared state {f.state!r}"
-                    )
-            elif isinstance(f, (And, Or)):
-                stack.extend(f.children)
+        for target in atoms(formula):
+            if target not in declared:
+                raise FormatError(
+                    f"transition ({state}, {letter}) mentions "
+                    f"undeclared state {target!r}"
+                )
     return AlternatingAutomaton(
         alphabet=Alphabet("".join(doc.alphabet)),
         initial=doc.initial,
@@ -320,20 +304,25 @@ def _state_names(states: list) -> dict:
     return {q: f"s{i:0{width}d}" for i, q in enumerate(states)}
 
 
+def _layout(A, accepting) -> tuple:
+    """State names, their sorted order, and the header lines both kinds share."""
+    names = _state_names(A.states)
+    order = sorted(names.values())
+    by_name = {names[q]: q for q in A.states}
+    header = [
+        "alphabet: " + " ".join(A.alphabet.letters),
+        "states: " + " ".join(order),
+        "initial: " + names[A.initial],
+        "accepting: " + " ".join(n for n in order if accepting(by_name[n])),
+    ]
+    return names, order, by_name, header
+
+
 def serialize_automaton(A: AlternatingAutomaton) -> str:
     """Canonical text form: sorted states, sorted rows, minimal parens."""
     if A.states is None:
         raise FormatError("serialization needs a declared finite state list")
-    names = _state_names(A.states)
-    order = sorted(names.values())
-    by_name = {names[q]: q for q in A.states}
-    lines = [
-        "alphabet: " + " ".join(A.alphabet.letters),
-        "states: " + " ".join(order),
-        "initial: " + names[A.initial],
-        "accepting: "
-        + " ".join(n for n in order if A.state_accepting(by_name[n])),
-    ]
+    names, order, by_name, lines = _layout(A, A.state_accepting)
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
@@ -343,15 +332,7 @@ def serialize_automaton(A: AlternatingAutomaton) -> str:
 
 
 def serialize_prob_automaton(A: ProbAutomaton) -> str:
-    names = _state_names(A.states)
-    order = sorted(names.values())
-    by_name = {names[q]: q for q in A.states}
-    lines = [
-        "alphabet: " + " ".join(A.alphabet.letters),
-        "states: " + " ".join(order),
-        "initial: " + names[A.initial],
-        "accepting: " + " ".join(n for n in order if by_name[n] in A.accepting),
-    ]
+    names, order, by_name, lines = _layout(A, A.accepting.__contains__)
     for n in order:
         q = by_name[n]
         for a in A.alphabet:

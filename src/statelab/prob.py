@@ -172,10 +172,11 @@ def rabin_automaton() -> ProbAutomaton:
 def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
     """Shortest binary word whose bin_frac lies strictly in (lo, hi).
 
-    Among words of the minimal length, returns the canonically (here:
-    lexicographically) smallest. Works on the integer lattice at each
-    precision level, so cost is linear in the answer's length rather
-    than in the number of candidate words.
+    At the minimal length k exactly one integer m has lo < m/2^k < hi:
+    two such integers would bracket an even one, 2j, and j/2^(k-1) would
+    be a shorter witness. So the word is forced: the least integer above
+    lo*2^k, written least significant bit first. Cost is linear in the
+    answer's length rather than in the number of candidate words.
     """
     lo = Fraction(lo)
     hi = Fraction(hi)
@@ -184,37 +185,10 @@ def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
     k = 0
     while True:
         scale = 1 << k
-        # integers m with lo*scale < m < hi*scale
-        m_lo = (lo.numerator * scale) // lo.denominator + 1
-        m_hi = -((-hi.numerator * scale) // hi.denominator) - 1
-        if m_lo <= m_hi:
-            return _lex_min_word(k, m_lo, m_hi)
+        m = (lo.numerator * scale) // lo.denominator + 1
+        if m * hi.denominator < hi.numerator * scale:
+            return format(m, f"0{k}b")[::-1]
         k += 1
-
-
-def _lex_min_word(k: int, m_lo: int, m_hi: int) -> str:
-    """Lex-min binary word w of length k with m_lo <= bin_int(w) <= m_hi.
-
-    Bits are chosen left to right; the leftmost bit is the least
-    significant, so preferring 0 at each feasible step is exactly
-    lexicographic minimization.
-    """
-    bits = []
-    for pos in range(k):
-        rem = k - pos - 1
-        cap = (1 << rem) - 1
-        chosen = None
-        for b in (0, 1):
-            rest_lo = max((m_lo - b + 1) // 2, 0)
-            rest_hi = min((m_hi - b) // 2, cap)
-            if rest_lo <= rest_hi:
-                chosen = b
-                m_lo, m_hi = rest_lo, rest_hi
-                break
-        if chosen is None:
-            raise StatelabError("empty dyadic interval at fixed length")
-        bits.append("01"[chosen])
-    return "".join(bits)
 
 
 def separate_quotients(u: str, v: str) -> str:

@@ -97,6 +97,34 @@ def test_profile_explicit_bound_can_fail(capsys):
     assert code == 1
 
 
+def test_profile_constant_applies_to_the_declared_class(capsys):
+    # maj2 declares 3*n; with --constant 1 the same profile breaks 1*n
+    code, out, _ = run(capsys, "profile", "maj2", "4", "--constant", "1", "--format", "json")
+    assert code == 1
+    assert json.loads(out)["bound"]["constant"] == 1
+
+
+def test_profile_constant_without_a_ceiling_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "once.aut"
+    path.write_text(GOOD_DOC, encoding="utf-8")
+    code, out, err = run(capsys, "profile", str(path), "2", "--constant", "2")
+    assert (code, out) == (2, "")
+    assert "--constant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("profile", "lex", "4", "--seed", "1"),
+    ("profile", "lex", "4", "--budget", "5"),
+    ("quotients", "count-eq3", "--order", "1", "--witness", "2", "--seed", "1"),
+    ("query-table", "l-exp", "--order", "1", "--rows", "#0", "--seed", "1"),
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 def test_profile_json_payload(capsys):
     code, out, _ = run(
         capsys, "profile", "maj2", "4", "--format", "json",
@@ -251,12 +279,17 @@ def test_experiment_passes_every_runner_only_what_it_takes(capsys, monkeypatch, 
     ("primes-hs", "--n", "0"),
     ("primes-hs", "--n", "1"),
     ("rabin-claim", "--n", "0"),
+    ("exp-alt", "--n", "-1"),
+    ("hierarchy:2", "--n", "-2"),
+    ("core-crosscheck", "--count", "0"),
+    ("core-crosscheck", "--count", "1"),
+    ("primes-linear", "--limit", "0"),
 ], ids=lambda argv: " ".join(argv))
 def test_experiment_size_out_of_range_is_usage_error(capsys, argv):
     code, out, err = run(capsys, "experiment", *argv, "--format", "json")
     assert code == 2
     assert out == ""
-    assert "needs n >= " in err
+    assert f"needs {argv[1][2:]} >= " in err
     assert "Traceback" not in err
 
 

@@ -30,7 +30,7 @@ def test_registry_order_is_stable():
 
 
 def test_unknown_experiment_is_rejected():
-    with pytest.raises(StatelabError, match="rabin-claim"):
+    with pytest.raises(UsageError, match="rabin-claim"):
         run_experiment("nope")
     with pytest.raises(StatelabError):
         run_experiment("hierarchy:x")
@@ -168,15 +168,33 @@ def _refuse(*args, **kwargs):
     ("primes-hs", {"n": 1}),
     ("primes-hs", {"n": 4, "cap": -1}),
     ("rabin-claim", {"n": 0}),
+    ("primes-linear", {"limit": 0}),
+    ("exp-alt", {"n": -1}),
+    ("hierarchy:2", {"n": -2}),
+    ("core-crosscheck", {"count": 0}),
+    ("core-crosscheck", {"count": 1}),
+    ("core-crosscheck", {"word_bound": -1}),
+    ("core-crosscheck", {"mono_pairs": 0}),
 ], ids=["primes-linear-n0", "primes-linear-n-2", "primes-hs-n0", "primes-hs-n1",
-        "primes-hs-cap-1", "rabin-claim-n0"])
+        "primes-hs-cap-1", "rabin-claim-n0", "primes-linear-limit0", "exp-alt-n-1",
+        "hierarchy-2-n-2", "core-crosscheck-count0", "core-crosscheck-count1",
+        "core-crosscheck-word-bound-1", "core-crosscheck-mono-pairs0"])
 def test_out_of_range_sizes_fail_before_any_work(monkeypatch, exp_id, overrides):
     import statelab.experiments as exps
 
     monkeypatch.setattr(exps, "get_language", _refuse)
     monkeypatch.setattr(exps, "rabin_automaton", _refuse)
+    monkeypatch.setattr(exps, "random_automaton", _refuse)
     with pytest.raises(UsageError, match=">= "):
         run_experiment(exp_id, **overrides)
+
+
+def test_hierarchy_size_off_the_exponent_is_a_usage_error(monkeypatch):
+    import statelab.experiments as exps
+
+    monkeypatch.setattr(exps, "get_language", _refuse)
+    with pytest.raises(UsageError, match="multiple of 3"):
+        run_experiment("hierarchy:3", n=4)
 
 
 def test_gallery_equiv_profiles_each_automaton_once(monkeypatch):

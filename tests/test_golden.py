@@ -1,8 +1,8 @@
 """Golden bytes: the canonical JSON of reports must not change under refactors.
 
 The experiment reports are pinned by length and sha256 of their canonical
-JSON (the claims make them long); the smaller reports and the CLI output
-are pinned verbatim. A change to any of these bytes is a change to the
+JSON (the claims make them long); the smaller reports, the interchange
+text and the CLI output are pinned verbatim. A change to any of these bytes is a change to the
 published results and needs its own justification.
 """
 
@@ -11,14 +11,23 @@ import hashlib
 import pytest
 
 from statelab import (
+    FALSE,
+    TRUE,
+    AlternatingAutomaton,
+    Atom,
     ComplexityProfile,
     RowSpec,
     check_bound,
+    conj,
     count_quotients,
+    disj,
     get_language,
     profile,
     query_table,
+    rabin_automaton,
     run_experiment,
+    serialize_automaton,
+    serialize_prob_automaton,
 )
 from statelab.cli import main
 
@@ -102,4 +111,48 @@ def test_cli_profile_json_bytes(capsys):
     assert capsys.readouterr().out == (
         '{"automaton":"maj2","bound":{"class":"n","constant":3,"failures":[],'
         '"max_ratio":"3","passed":true},"profile":[1,3,5,7,9]}\n'
+    )
+
+
+def test_serialize_prob_automaton_bytes():
+    assert serialize_prob_automaton(rabin_automaton()) == (
+        "alphabet: 0 1 #\n"
+        "states: dead q0 q1\n"
+        "initial: q0\n"
+        "accepting: q1\n"
+        "ptrans dead 0 -> dead:1/1\n"
+        "ptrans dead 1 -> dead:1/1\n"
+        "ptrans dead # -> dead:1/1\n"
+        "ptrans q0 0 -> q0:1/1\n"
+        "ptrans q0 1 -> q0:1/2 q1:1/2\n"
+        "ptrans q0 # -> dead:1/1\n"
+        "ptrans q1 0 -> q0:1/2 q1:1/2\n"
+        "ptrans q1 1 -> q1:1/1\n"
+        "ptrans q1 # -> q0:1/1\n"
+    )
+
+
+def test_serialize_automaton_bytes_with_renamed_states():
+    # tuple and spaced state names are not tokens, so all three are renamed
+    s, t, u = (0, 0), (1, 1), "x y"
+    trans = {
+        (s, "a"): conj([Atom(t), disj([Atom(s), Atom(u)])]),
+        (s, "b"): Atom(s),
+        (t, "a"): TRUE,
+        (t, "b"): disj([Atom(s), conj([Atom(t), Atom(u)])]),
+        (u, "a"): FALSE,
+        (u, "b"): Atom(t),
+    }
+    m = AlternatingAutomaton("ab", s, trans, {t, u}, states=[s, t, u])
+    assert serialize_automaton(m) == (
+        "alphabet: a b\n"
+        "states: s0 s1 s2\n"
+        "initial: s0\n"
+        "accepting: s1 s2\n"
+        "trans s0 a -> s1 & (s0 | s2)\n"
+        "trans s0 b -> s0\n"
+        "trans s1 a -> T\n"
+        "trans s1 b -> s0 | s1 & s2\n"
+        "trans s2 a -> F\n"
+        "trans s2 b -> s1\n"
     )

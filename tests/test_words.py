@@ -67,3 +67,13 @@ def test_words_of_length_rejects_negative():
     alpha = Alphabet("01")
     with pytest.raises(StatelabError):
         list(alpha.words_of_length(-1))
+
+
+@pytest.mark.parametrize("letters", ["b", "10", "cab", "dbca"])
+def test_words_up_to_matches_sorted_brute_force(letters):
+    alpha = Alphabet(letters)
+    for n in range(6):
+        brute = {""}
+        for _ in range(n):
+            brute |= {w + a for w in brute for a in letters}
+        assert list(alpha.words_up_to(n)) == sorted(brute, key=alpha.sort_key)
