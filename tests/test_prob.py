@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -197,18 +198,16 @@ def test_minimal_witness_is_unique_and_found():
         assert inside == [w]
 
 
-
 def test_dyadic_witness_matches_brute_force_on_small_denominators():
     # every interval between two fractions in [0, 1] with denominator <= 16;
     # the answer is the first canonical word whose value lies strictly inside
     points = sorted({Fraction(a, d) for d in range(1, 17) for a in range(d + 1)})
+    intervals = list(combinations(points, 2))
+    assert len(intervals) == 3240
     table = [(w, bin_frac(w)) for w in Alphabet("01").words_up_to(9)]
-    intervals = 0
-    for i, lo in enumerate(points):
-        for hi in points[i + 1:]:
-            intervals += 1
-            assert dyadic_witness(lo, hi) == next(w for w, x in table if lo < x < hi)
-    assert intervals == 3240
+    for lo, hi in intervals:
+        assert dyadic_witness(lo, hi) == next(w for w, x in table if lo < x < hi)
+
 
 def test_separate_quotients_anchor_and_guarantee():
     lang = ThresholdLanguage(rabin_automaton())
