@@ -31,7 +31,12 @@ evaluation on small instances.
 
 delta() memoizes transitions for the routes that read them again. The
 reachable-state search expands each (state, letter) pair once, so it
-asks the transition function directly and leaves the memo alone.
+asks the transition function directly and leaves the memo alone. Most
+transitions of the lazy gallery automata are a single Atom, so the
+search takes such a result inline (one seen-set test, no atoms()
+generator), gives TRUE and FALSE no successors, and sends only And and
+Or nodes, or a result that is no formula at all, through the formula
+check and atoms().
 """
 
 from __future__ import annotations
@@ -137,10 +142,7 @@ class AlternatingAutomaton:
 
     def _transition(self, q: State, a: str) -> Formula:
         """The transition formula of (q, a), checked but not memoized."""
-        f = self._delta_fn(q, a)
-        if not (isinstance(f, (Atom, And, Or)) or f is TRUE or f is FALSE):
-            raise StatelabError(f"delta({q!r}, {a!r}) is not a formula: {f!r}")
-        return f
+        return _checked(self._delta_fn(q, a), q, a)
 
     def state_accepting(self, q: State) -> bool:
         if isinstance(q, _Sink):
@@ -240,10 +242,15 @@ class AlternatingAutomaton:
         """(reachable(n) in discovery order, its size after each layer).
 
         Breadth first; each (q, a) is expanded once, so the transitions
-        go through _transition and stay out of the memo.
+        are asked of the transition function directly and stay out of the
+        memo. A bare Atom result is taken inline and the constants have
+        no successors; anything else is checked as a formula and walked
+        by atoms(), in the same discovery order.
         """
         if n < 0:
             raise StatelabError("depth must be >= 0")
+        delta = self._delta_fn
+        letters = tuple(self.alphabet)
         seen = {self.initial}
         order = [self.initial]
         counts = [1]
@@ -251,11 +258,18 @@ class AlternatingAutomaton:
         for _ in range(n):
             end = len(order)
             for q in order[start:end]:
-                for a in self.alphabet:
-                    for p in atoms(self._transition(q, a)):
+                for a in letters:
+                    f = delta(q, a)
+                    if type(f) is Atom:
+                        p = f.state
                         if p not in seen:
                             seen.add(p)
                             order.append(p)
+                    elif f is not TRUE and f is not FALSE:
+                        for p in atoms(_checked(f, q, a)):
+                            if p not in seen:
+                                seen.add(p)
+                                order.append(p)
             counts.append(len(seen))
             if state_cap is not None and len(seen) > state_cap:
                 raise StatelabError(
@@ -290,6 +304,13 @@ class AlternatingAutomaton:
         if has_and:
             return "universal"
         return "nondeterministic"
+
+
+def _checked(f, q: State, a: str) -> Formula:
+    """f itself, the result of delta(q, a), when it is a formula; else raise."""
+    if not (isinstance(f, (Atom, And, Or)) or f is TRUE or f is FALSE):
+        raise StatelabError(f"delta({q!r}, {a!r}) is not a formula: {f!r}")
+    return f
 
 
 def _table_lookup(table: Mapping, q: State, a: str) -> Formula:

@@ -97,6 +97,10 @@ def _render(report, fmt: str) -> str:
 
 def cmd_eval(args) -> int:
     automaton = _load_alternating(args.ref, _gallery_spec(args.ref))
+    try:
+        automaton.alphabet.check_word(args.word)
+    except StatelabError as exc:
+        raise UsageError(str(exc)) from exc
     accepted = automaton.accepts(args.word)
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
@@ -212,6 +216,14 @@ def cmd_gallery(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a length or depth."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statelab",
@@ -236,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="count reachable states per depth")
     p.add_argument("ref")
-    p.add_argument("depth", type=int)
+    p.add_argument("depth", type=non_negative_int)
     p.add_argument("--bound-class", help="ceiling shape: const, n, n^<k>, 2^n")
     p.add_argument("--constant", type=int,
                    help="multiplier for the declared or --bound-class "
@@ -246,9 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotients", help="count distinguishable prefixes")
     p.add_argument("ref")
-    p.add_argument("--order", type=int, required=True,
+    p.add_argument("--order", type=non_negative_int, required=True,
                    help="max prefix length")
-    p.add_argument("--witness", type=int, required=True,
+    p.add_argument("--witness", type=non_negative_int, required=True,
                    help="max witness length")
     common(p)
     budget(p)
@@ -256,11 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("query-table", help="count membership-profile rows")
     p.add_argument("ref")
-    p.add_argument("--order", type=int, required=True,
+    p.add_argument("--order", type=non_negative_int, required=True,
                    help="max column length")
     p.add_argument("--rows", nargs="*", default=None,
                    help="explicit row words")
-    p.add_argument("--rows-max", type=int, default=None,
+    p.add_argument("--rows-max", type=non_negative_int, default=None,
                    help="use all words up to this length as rows")
     p.add_argument("--profiles", action="store_true",
                    help="include each representative's profile bits")

@@ -159,6 +159,8 @@ class RowSpec:
 
     @classmethod
     def exhaustive(cls, max_length: int) -> "RowSpec":
+        if max_length < 0:
+            raise StatelabError(f"row length must be >= 0, got {max_length}")
         return cls(kind="exhaustive", max_length=max_length)
 
     @classmethod

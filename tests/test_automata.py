@@ -336,20 +336,24 @@ def test_accepts_up_to_edge_depths():
 def _chain_with_fault_at_2(fault):
     """States 0, 1, 2, ... with q -> q+1 on both letters; (2, 'a') is faulty.
 
-    fault "not-a-formula": delta(2, 'a') returns a string;
+    fault "not-a-formula", "none", "int": delta(2, 'a') returns a
+    string, None or 42;
     fault "missing-row": the transition table has no (2, 'a') row.
     """
     table = {(q, a): Atom(q + 1) for q in range(6) for a in "ab"}
     if fault == "missing-row":
         del table[(2, "a")]
         return AlternatingAutomaton("ab", 0, table, {3})
+    bad = {"not-a-formula": "not a formula", "none": None, "int": 42}[fault]
     return AlternatingAutomaton(
-        "ab", 0, lambda q, a: "not a formula" if (q, a) == (2, "a") else table[(q, a)], {3})
+        "ab", 0, lambda q, a: bad if (q, a) == (2, "a") else table[(q, a)], {3})
 
 
 @pytest.mark.parametrize("fault,message", [
     ("not-a-formula", r"delta\(2, 'a'\) is not a formula"),
     ("missing-row", r"no transition declared for \(2, 'a'\)"),
+    ("none", r"delta\(2, 'a'\) is not a formula: None"),
+    ("int", r"delta\(2, 'a'\) is not a formula: 42"),
 ])
 def test_accepts_up_to_raises_only_on_transitions_within_depth_n_minus_1(fault, message):
     m = _chain_with_fault_at_2(fault)

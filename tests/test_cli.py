@@ -125,6 +125,31 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("profile", "lex", "-1"), "depth"),
+    (("quotients", "count-eq3", "--order", "-1", "--witness", "2"), "--order"),
+    (("quotients", "count-eq3", "--order", "1", "--witness", "-1"), "--witness"),
+    (("query-table", "primes", "--order", "-1", "--rows-max", "2"), "--order"),
+    (("query-table", "l-exp", "--order", "1", "--rows-max", "-1"), "--rows-max"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_negative_size_is_usage_error_before_any_query(capsys, monkeypatch, argv, flag):
+    import statelab.cli as cli
+
+    monkeypatch.setattr(cli, "get_language", lambda name: pytest.fail("language built"))
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= 0, got -1" in err
+    assert "Traceback" not in err
+
+
+def test_eval_letter_outside_the_alphabet_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "lex", "2")
+    assert (code, out) == (2, "")
+    assert "letter '2' not in alphabet '01#'" in err
+
+
 def test_profile_json_payload(capsys):
     code, out, _ = run(
         capsys, "profile", "maj2", "4", "--format", "json",

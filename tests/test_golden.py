@@ -7,6 +7,7 @@ published results and needs its own justification.
 """
 
 import hashlib
+from collections import deque
 
 import pytest
 
@@ -18,6 +19,7 @@ from statelab import (
     ComplexityProfile,
     RowSpec,
     check_bound,
+    atoms,
     conj,
     count_quotients,
     disj,
@@ -156,3 +158,35 @@ def test_serialize_automaton_bytes_with_renamed_states():
         "trans s2 a -> F\n"
         "trans s2 b -> s1\n"
     )
+
+
+def test_hierarchy_transition_formulas():
+    # every transition of l-hier:2 out of reachable(20), in breadth-first
+    # discovery order, hashed as repr((q, a, delta(q, a))) one after another
+    A = get_language("l-hier:2").automaton
+    depth = {A.initial: 0}
+    queue = deque([A.initial])
+    digest = hashlib.sha256()
+    while queue:
+        q = queue.popleft()
+        for a in A.alphabet:
+            f = A.delta(q, a)
+            digest.update(repr((q, a, f)).encode("utf-8"))
+            if depth[q] < 20:
+                for p in atoms(f):
+                    if p not in depth:
+                        depth[p] = depth[q] + 1
+                        queue.append(p)
+    assert len(depth) == A.reachable_counts(20)[-1] == 17847
+    assert digest.hexdigest() == (
+        "b28a15b81536ce0b64bd951c3d8cc6d087900486c6ab6932fed09fbef72bb874"
+    )
+
+
+@pytest.mark.parametrize("name,depth,tail", [
+    ("l-hier:2", 40, [133101, 144235, 155974]),
+    ("count-eq3", 80, [9244, 9481, 9721]),
+    ("maj2", 80, [157, 159, 161]),
+])
+def test_reachable_counts_tail(name, depth, tail):
+    assert get_language(name).automaton.reachable_counts(depth)[-3:] == tail

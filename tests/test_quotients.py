@@ -234,6 +234,12 @@ def test_row_spec_validation():
     assert rows == ["a", "b"]
 
 
+def test_exhaustive_row_spec_refuses_a_negative_length():
+    with pytest.raises(StatelabError, match="row length must be >= 0, got -1"):
+        RowSpec.exhaustive(-1)
+    assert RowSpec.exhaustive(0).row_words(Alphabet("01")) == [""]
+
+
 def test_query_table_budget_guard():
     spec = get_language("l-exp")
     with pytest.raises(BudgetExceeded):
