@@ -13,16 +13,14 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from .automata import AlternatingAutomaton
-from .errors import BudgetExceeded, FormatError, StatelabError, UsageError
+from .errors import FormatError, StatelabError, UsageError
 from .experiments import REGISTRY_ORDER, run_all, run_experiment
-from .gallery import LanguageSpec, get_language, names
+from .gallery import get_language, names
 from .interchange import load_automaton, load_prob_automaton
-from .prob import ProbAutomaton, separate_quotients
-from .profiler import check_bound, profile
+from .prob import separate_quotients
+from .profiler import bound_function, check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
-    LanguageOracle,
     RowSpec,
     canonical_json,
     count_quotients,
@@ -38,50 +36,32 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text + "\n", encoding="utf-8")
 
 
-def _gallery_spec(ref: str) -> Optional[LanguageSpec]:
-    """The gallery language named `ref`, or None when `ref` names none."""
+def _resolve(ref: str, field: str, load):
+    """(spec, spec.<field>) for a gallery name, else (None, the file `ref`
+    parsed by `load(text, name=<file stem>)`); a missing or malformed file,
+    or a gallery language without `field`, is a usage error."""
     try:
-        return get_language(ref)
+        spec = get_language(ref)
     except StatelabError:
-        return None
+        path = Path(ref)
+        if not path.exists():
+            raise UsageError(f"{ref!r} is neither a gallery language nor a file") from None
+        try:
+            return None, load(path.read_text(encoding="utf-8"), name=path.stem)
+        except FormatError as exc:
+            raise UsageError(f"{ref}: {exc}") from exc
+    value = getattr(spec, field)
+    if value is None:
+        raise UsageError(f"gallery language {ref!r} has no {field.replace('_', ' ')}")
+    return spec, value
 
 
-def _read_file(ref: str, load):
-    """Parse the interchange file `ref` with `load`; bad input is a usage error."""
-    path = Path(ref)
-    if not path.exists():
-        raise UsageError(f"{ref!r} is neither a gallery language nor a file")
+def _check_word(alphabet, word: str) -> None:
+    """A word with a letter outside `alphabet` is a usage error."""
     try:
-        return load(path.read_text(encoding="utf-8"))
-    except FormatError as exc:
-        raise UsageError(f"{ref}: {exc}") from exc
-
-
-def _load_alternating(ref: str, spec: Optional[LanguageSpec]) -> AlternatingAutomaton:
-    """The automaton of gallery `spec`, or, without one, of the file `ref`."""
-    if spec is None:
-        automaton = _read_file(ref, load_automaton)
-        automaton.name = Path(ref).stem
-        return automaton
-    if spec.automaton is None:
-        raise UsageError(f"gallery language {ref!r} has no alternating automaton")
-    return spec.automaton
-
-
-def _load_oracle(ref: str) -> LanguageOracle:
-    spec = _gallery_spec(ref)
-    if spec is not None:
-        return spec.oracle
-    return from_automaton(_load_alternating(ref, None), name=ref)
-
-
-def _load_prob(ref: str) -> ProbAutomaton:
-    spec = _gallery_spec(ref)
-    if spec is None:
-        return _read_file(ref, load_prob_automaton)
-    if spec.prob_automaton is None:
-        raise UsageError(f"gallery language {ref!r} is not probabilistic")
-    return spec.prob_automaton
+        alphabet.check_word(word)
+    except StatelabError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _render(report, fmt: str) -> str:
@@ -96,19 +76,15 @@ def _render(report, fmt: str) -> str:
 # subcommands
 
 def cmd_eval(args) -> int:
-    automaton = _load_alternating(args.ref, _gallery_spec(args.ref))
-    try:
-        automaton.alphabet.check_word(args.word)
-    except StatelabError as exc:
-        raise UsageError(str(exc)) from exc
+    _, automaton = _resolve(args.ref, "automaton", load_automaton)
+    _check_word(automaton.alphabet, args.word)
     accepted = automaton.accepts(args.word)
     print("accept" if accepted else "reject")
     return 0 if accepted else 1
 
 
 def cmd_profile(args) -> int:
-    spec = _gallery_spec(args.ref)
-    automaton = _load_alternating(args.ref, spec)
+    spec, automaton = _resolve(args.ref, "automaton", load_automaton)
     bound_class = args.bound_class
     constant = args.constant
     if bound_class is None and spec is not None and spec.declared_class is not None:
@@ -141,14 +117,16 @@ def cmd_profile(args) -> int:
 
 
 def cmd_quotients(args) -> int:
-    oracle = _load_oracle(args.ref)
+    _, oracle = _resolve(args.ref, "oracle", lambda text, name: from_automaton(
+        load_automaton(text, name=name), name=args.ref))
     report = count_quotients(oracle, args.order, args.witness, budget=args.budget)
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_query_table(args) -> int:
-    oracle = _load_oracle(args.ref)
+    _, oracle = _resolve(args.ref, "oracle", lambda text, name: from_automaton(
+        load_automaton(text, name=name), name=args.ref))
     if args.rows is not None:
         spec = RowSpec.explicit(args.rows)
     elif args.rows_max is not None:
@@ -164,7 +142,8 @@ def cmd_query_table(args) -> int:
 
 
 def cmd_prob_eval(args) -> int:
-    machine = _load_prob(args.ref)
+    _, machine = _resolve(args.ref, "prob_automaton", load_prob_automaton)
+    _check_word(machine.alphabet, args.word)
     print(machine.acceptance_probability(args.word))
     return 0
 
@@ -224,6 +203,15 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def bound_class(text: str) -> str:
+    """argparse type of a ceiling shape: a name `profiler.bound_function` knows."""
+    try:
+        bound_function(text)
+    except StatelabError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="statelab",
@@ -249,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="count reachable states per depth")
     p.add_argument("ref")
     p.add_argument("depth", type=non_negative_int)
-    p.add_argument("--bound-class", help="ceiling shape: const, n, n^<k>, 2^n")
+    p.add_argument("--bound-class", type=bound_class, help="ceiling shape: const, n, n^<k>, 2^n")
     p.add_argument("--constant", type=int,
                    help="multiplier for the declared or --bound-class "
                    "ceiling (default: the declared constant, else 1)")
@@ -270,10 +258,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref")
     p.add_argument("--order", type=non_negative_int, required=True,
                    help="max column length")
-    p.add_argument("--rows", nargs="*", default=None,
-                   help="explicit row words")
-    p.add_argument("--rows-max", type=non_negative_int, default=None,
-                   help="use all words up to this length as rows")
+    rows = p.add_mutually_exclusive_group()
+    rows.add_argument("--rows", nargs="*", default=None,
+                      help="explicit row words")
+    rows.add_argument("--rows-max", type=non_negative_int, default=None,
+                      help="use all words up to this length as rows")
     p.add_argument("--profiles", action="store_true",
                    help="include each representative's profile bits")
     common(p)
@@ -323,12 +312,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StatelabError as exc:

@@ -8,6 +8,9 @@ the profiler's bound checks; the constants were measured by running the
 profiler at the documented depth and rounding the worst ratio up, so
 they are empirical ceilings, not asymptotic claims.
 
+Each language is one `_spec` call: its name and alphabet are stated
+once, and its oracle and automaton are built from them.
+
 Entries are addressable by name: count-eq3, not-eq, lex, l-exp,
 l-hier:<l>, primes, l-log, maj2, rabin-half.
 """
@@ -53,6 +56,17 @@ class LanguageSpec:
     prob_automaton: Optional[ProbAutomaton] = None
 
 
+def _spec(name: str, letters: str, member: Callable[[str], bool],
+          machine: Optional[tuple] = None, max_word_length: Optional[int] = None,
+          **spec_fields) -> LanguageSpec:
+    """The language `name` over `letters` with oracle `member` and, given
+    `machine = (initial, delta, accepting)`, an alternating automaton."""
+    alpha = Alphabet(letters)
+    automaton = None if machine is None else AlternatingAutomaton(alpha, *machine, name=name)
+    oracle = LanguageOracle(name, alpha, member, max_word_length=max_word_length)
+    return LanguageSpec(name, alpha, oracle, automaton, **spec_fields)
+
+
 # ---------------------------------------------------------------------------
 # count-eq3: words over {a,b,c} with equally many of each letter
 
@@ -66,23 +80,12 @@ def _count_eq3_delta(q, a):
 
 
 def count_eq3() -> LanguageSpec:
-    alpha = Alphabet("abc")
-
     def member(w: str) -> bool:
         return w.count("a") == w.count("b") == w.count("c")
 
-    automaton = AlternatingAutomaton(
-        alphabet=alpha,
-        initial=(0, 0),
-        delta=_count_eq3_delta,
-        accepting=lambda q: q == (0, 0),
-        name="count-eq3",
-    )
-    return LanguageSpec(
-        name="count-eq3",
-        alphabet=alpha,
-        oracle=LanguageOracle("count-eq3", alpha, member),
-        automaton=automaton,
+    return _spec(
+        "count-eq3", "abc", member,
+        ((0, 0), _count_eq3_delta, lambda q: q == (0, 0)),
         declared_class=("n^2", COUNT_EQ3_CONSTANT),
         validation_bound=10,
     )
@@ -130,24 +133,14 @@ def _not_eq_delta(q, a):
 
 
 def not_eq() -> LanguageSpec:
-    alpha = Alphabet("01#")
-
     def member(w: str) -> bool:
         parts = w.split("#")
         return len(parts) == 2 and parts[0] != parts[1]
 
-    automaton = AlternatingAutomaton(
-        alphabet=alpha,
-        initial=("read", 0),
-        delta=_not_eq_delta,
-        accepting=lambda q: q[0] == "bin" or (q[0] == "most" and q[1] >= 1),
-        name="not-eq",
-    )
-    return LanguageSpec(
-        name="not-eq",
-        alphabet=alpha,
-        oracle=LanguageOracle("not-eq", alpha, member),
-        automaton=automaton,
+    return _spec(
+        "not-eq", "01#", member,
+        (("read", 0), _not_eq_delta,
+         lambda q: q[0] == "bin" or (q[0] == "most" and q[1] >= 1)),
         declared_class=("n", NOT_EQ_CONSTANT),
         validation_bound=9,
     )
@@ -197,24 +190,13 @@ def _lex_delta(q, a):
 
 
 def lexicographic() -> LanguageSpec:
-    alpha = Alphabet("01#")
-
     def member(w: str) -> bool:
         parts = w.split("#")
         return len(parts) == 2 and parts[0] < parts[1]
 
-    automaton = AlternatingAutomaton(
-        alphabet=alpha,
-        initial=("u", 0),
-        delta=_lex_delta,
-        accepting=lambda q: q == ("ok",),
-        name="lex",
-    )
-    return LanguageSpec(
-        name="lex",
-        alphabet=alpha,
-        oracle=LanguageOracle("lex", alpha, member),
-        automaton=automaton,
+    return _spec(
+        "lex", "01#", member,
+        (("u", 0), _lex_delta, lambda q: q == ("ok",)),
         declared_class=("n", LEX_CONSTANT),
         validation_bound=9,
     )
@@ -224,8 +206,6 @@ def lexicographic() -> LanguageSpec:
 # l-exp: u#u1#...#uk where some block read backwards equals u
 
 def l_exp() -> LanguageSpec:
-    alpha = Alphabet("01#")
-
     def member(w: str) -> bool:
         if "#" not in w:
             return False
@@ -233,11 +213,7 @@ def l_exp() -> LanguageSpec:
         u = parts[0]
         return any(p[::-1] == u for p in parts[1:])
 
-    return LanguageSpec(
-        name="l-exp",
-        alphabet=alpha,
-        oracle=LanguageOracle("l-exp", alpha, member),
-    )
+    return _spec("l-exp", "01#", member)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +326,6 @@ def _hier_accepting(q) -> bool:
 def l_hierarchy(power: int) -> LanguageSpec:
     if power < 2:
         raise StatelabError("the hierarchy language needs an exponent >= 2")
-    alpha = Alphabet("01◊#")
 
     def member(w: str) -> bool:
         p = 0
@@ -363,21 +338,10 @@ def l_hierarchy(power: int) -> LanguageSpec:
         u, blocks = parts[0], parts[1:]
         return len(blocks) <= p**power and u in blocks
 
-    name = f"l-hier:{power}"
-    automaton = AlternatingAutomaton(
-        alphabet=alpha,
-        initial=("dia", 0),
-        delta=lambda q, a: _hier_delta(q, a, power),
-        accepting=_hier_accepting,
-        name=name,
-    )
-    declared = ("n^3", HIER2_CONSTANT) if power == 2 else None
-    return LanguageSpec(
-        name=name,
-        alphabet=alpha,
-        oracle=LanguageOracle(name, alpha, member),
-        automaton=automaton,
-        declared_class=declared,
+    return _spec(
+        f"l-hier:{power}", "01◊#", member,
+        (("dia", 0), lambda q, a: _hier_delta(q, a, power), _hier_accepting),
+        declared_class=("n^3", HIER2_CONSTANT) if power == 2 else None,
         validation_bound=8,
     )
 
@@ -386,23 +350,15 @@ def l_hierarchy(power: int) -> LanguageSpec:
 # primes: binary words whose LSB-first value is prime
 
 def primes_language() -> LanguageSpec:
-    alpha = Alphabet("01")
-    return LanguageSpec(
-        name="primes",
-        alphabet=alpha,
-        # a word of at most 64 letters has an LSB-first value below 2^64,
-        # the range where is_prime is exact
-        oracle=LanguageOracle("primes", alpha, lambda w: is_prime(bin_int(w)),
-                              max_word_length=64),
-    )
+    # a word of at most 64 letters has an LSB-first value below 2^64,
+    # the range where is_prime is exact
+    return _spec("primes", "01", lambda w: is_prime(bin_int(w)), max_word_length=64)
 
 
 # ---------------------------------------------------------------------------
 # l-log: the floor(log2 |w|)-prefix of w repeats right after the separator
 
 def l_log() -> LanguageSpec:
-    alpha = Alphabet("01#")
-
     def member(w: str) -> bool:
         parts = w.split("#")
         if len(parts) != 2:
@@ -411,34 +367,19 @@ def l_log() -> LanguageSpec:
         x, y = parts
         return len(y) == prefix_len and x[:prefix_len] == y
 
-    return LanguageSpec(
-        name="l-log",
-        alphabet=alpha,
-        oracle=LanguageOracle("l-log", alpha, member),
-    )
+    return _spec("l-log", "01#", member)
 
 
 # ---------------------------------------------------------------------------
 # maj2: strictly more a's than b's
 
 def maj2() -> LanguageSpec:
-    alpha = Alphabet("ab")
-
     def member(w: str) -> bool:
         return w.count("a") > w.count("b")
 
-    automaton = AlternatingAutomaton(
-        alphabet=alpha,
-        initial=0,
-        delta=lambda k, a: Atom(k + 1) if a == "a" else Atom(k - 1),
-        accepting=lambda k: k > 0,
-        name="maj2",
-    )
-    return LanguageSpec(
-        name="maj2",
-        alphabet=alpha,
-        oracle=LanguageOracle("maj2", alpha, member),
-        automaton=automaton,
+    return _spec(
+        "maj2", "ab", member,
+        (0, lambda k, a: Atom(k + 1) if a == "a" else Atom(k - 1), lambda k: k > 0),
         declared_class=("n", MAJ2_CONSTANT),
         validation_bound=8,
     )
@@ -449,14 +390,8 @@ def maj2() -> LanguageSpec:
 
 def rabin_half() -> LanguageSpec:
     machine = rabin_automaton()
-    lang = ThresholdLanguage(machine)
-    alpha = machine.alphabet
-    return LanguageSpec(
-        name="rabin-half",
-        alphabet=alpha,
-        oracle=LanguageOracle("rabin-half", alpha, lang.member),
-        prob_automaton=machine,
-    )
+    return _spec("rabin-half", machine.alphabet.letters,
+                 ThresholdLanguage(machine).member, prob_automaton=machine)
 
 
 # ---------------------------------------------------------------------------

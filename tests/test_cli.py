@@ -347,3 +347,65 @@ def test_gallery_language_is_built_once_per_command(capsys, monkeypatch, argv):
     code, _, _ = run(capsys, *argv)
     assert code == 0
     assert len(calls) == 1
+
+
+def test_prob_eval_letter_outside_the_alphabet_is_usage_error(capsys):
+    code, out, err = run(capsys, "prob", "eval", "rabin-half", "2")
+    assert (code, out) == (2, "")
+    assert "letter '2' not in alphabet '01#'" in err
+
+
+@pytest.mark.parametrize("shape,message", [
+    ("foo", "unknown bound class 'foo'"),
+    ("n^0", "bad bound exponent in 'n^0'"),
+])
+def test_bad_bound_class_is_usage_error_before_any_language(capsys, monkeypatch, shape, message):
+    import statelab.cli as cli
+
+    monkeypatch.setattr(cli, "get_language", lambda name: pytest.fail("language built"))
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "lex", "3", "--bound-class", shape])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --bound-class: {message}" in err
+    assert "Traceback" not in err
+
+
+def test_query_table_rejects_both_row_sources(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["query-table", "l-exp", "--order", "1", "--rows", "#0", "--rows-max", "2"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_quotients_of_a_file_name_the_oracle_by_the_path_given(tmp_path, capsys):
+    path = tmp_path / "once.aut"
+    path.write_text(GOOD_DOC, encoding="utf-8")
+    code, out, _ = run(
+        capsys, "quotients", str(path), "--order", "1", "--witness", "2", "--format", "json",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["language"] == str(path)
+    assert payload["count"] == 2
+
+
+def test_prob_eval_of_a_file(tmp_path, capsys):
+    from statelab import rabin_automaton, serialize_prob_automaton
+
+    path = tmp_path / "rabin.pa"
+    path.write_text(serialize_prob_automaton(rabin_automaton()), encoding="utf-8")
+    code, out, _ = run(capsys, "prob", "eval", str(path), "11")
+    assert (code, out.strip()) == (0, "3/4")
+
+
+@pytest.mark.parametrize("line,replacement,message", [
+    ("alphabet: a b", "alphabet: a b\nalphabet: a b", "line 2: duplicate alphabet line"),
+    ("trans q0 a -> q1", "trans q0 a => q1", "expected '->' after the letter"),
+], ids=["duplicate-header", "missing-arrow"])
+def test_eval_of_a_malformed_file_names_the_fault(tmp_path, capsys, line, replacement, message):
+    path = tmp_path / "broken.aut"
+    path.write_text(GOOD_DOC.replace(line, replacement), encoding="utf-8")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert f"{path}: " in err and message in err

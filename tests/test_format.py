@@ -205,3 +205,82 @@ def test_random_prob_automaton_round_trip(seed):
     assert serialize_prob_automaton(loaded) == text
     for w in m.alphabet.words_up_to(5):
         assert loaded.acceptance_probability(w) == m.acceptance_probability(w), w
+
+
+ALT_DOC = """\
+alphabet: a b
+states: q0 q1
+initial: q0
+accepting: q1
+trans q0 a -> q1
+trans q0 b -> q0
+trans q1 a -> q1
+trans q1 b -> q1
+"""
+
+PROB_DOC = """\
+alphabet: a
+states: q0 q1
+initial: q0
+accepting: q1
+ptrans q0 a -> q0:1/2 q1:1/2
+ptrans q1 a -> q1:1/1
+"""
+
+# (id, loader, line as written in the base document, its replacement,
+#  text the FormatError must contain)
+MALFORMED = [
+    ("state-name", load_automaton, "states: q0 q1", "states: q0 T", "invalid state name 'T'"),
+    ("empty-formula", load_automaton, "trans q0 a -> q1", "trans q0 a ->", "line 5: empty formula"),
+    ("unexpected-token", load_automaton, "trans q0 a -> q1", "trans q0 a -> & q1", "unexpected '&'"),
+    ("trailing-input", load_automaton, "trans q0 a -> q1", "trans q0 a -> q1 q0", "trailing input 'q0'"),
+    ("long-alphabet-letter", load_automaton, "alphabet: a b", "alphabet: ab",
+     "letters are single characters, got 'ab'"),
+    ("duplicate-alphabet", load_automaton, "alphabet: a b", "alphabet: a b\nalphabet: a b",
+     "line 2: duplicate alphabet line"),
+    ("duplicate-states", load_automaton, "states: q0 q1", "states: q0 q1\nstates: q0 q1",
+     "duplicate states line"),
+    ("two-initial-states", load_automaton, "initial: q0", "initial: q0 q1",
+     "initial: takes exactly one state"),
+    ("duplicate-initial", load_automaton, "initial: q0", "initial: q0\ninitial: q0",
+     "duplicate initial line"),
+    ("duplicate-accepting", load_automaton, "accepting: q1", "accepting: q1\naccepting: q1",
+     "duplicate accepting line"),
+    ("short-row", load_automaton, "trans q0 a -> q1", "trans q0 a", "expected '<keyword> <state>"),
+    ("missing-arrow", load_automaton, "trans q0 a -> q1", "trans q0 a => q1",
+     "expected '->' after the letter"),
+    ("long-row-letter", load_automaton, "trans q0 a -> q1", "trans q0 ab -> q1",
+     "line 5: letters are single characters, got 'ab'"),
+    ("unknown-line", load_automaton, "accepting: q1", "accepting: q1\nfinal: q1",
+     "unrecognized line 'final: q1'"),
+    ("missing-states", load_automaton, "states: q0 q1\n", "", "missing states: line"),
+    ("repeated-state", load_automaton, "states: q0 q1", "states: q0 q1 q0", "states: has duplicates"),
+    ("undeclared-initial", load_automaton, "initial: q0", "initial: q9",
+     "initial state 'q9' not declared"),
+    ("undeclared-accepting", load_automaton, "accepting: q1", "accepting: q9",
+     "accepting state 'q9' not declared"),
+    ("zero-denominator", load_prob_automaton, "q1:1/1", "q1:1/0", "zero denominator in 'q1:1/0'"),
+    ("empty-distribution", load_prob_automaton, "ptrans q1 a -> q1:1/1", "ptrans q1 a ->",
+     "empty distribution"),
+    ("undeclared-ptrans-target", load_prob_automaton, "q1:1/1", "q9:1/1",
+     "ptrans (q1, a) targets undeclared state 'q9'"),
+    ("ptrans-target-twice", load_prob_automaton, "q0:1/2 q1:1/2", "q1:1/2 q1:1/2",
+     "ptrans (q0, a) lists 'q1' twice"),
+]
+
+
+@pytest.mark.parametrize("load,line,replacement,message",
+                         [case[1:] for case in MALFORMED], ids=[case[0] for case in MALFORMED])
+def test_malformed_document_names_its_fault(load, line, replacement, message):
+    base = ALT_DOC if load is load_automaton else PROB_DOC
+    assert line in base
+    assert load(base) is not None
+    with pytest.raises(FormatError) as exc:
+        load(base.replace(line, replacement, 1))
+    assert message in str(exc.value)
+
+
+def test_serializing_a_lazy_automaton_is_a_format_error():
+    lazy = AlternatingAutomaton("a", 0, lambda q, a: Atom(q + 1), lambda q: q > 0)
+    with pytest.raises(FormatError, match="declared finite state list"):
+        serialize_automaton(lazy)

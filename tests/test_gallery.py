@@ -192,3 +192,16 @@ def test_hier2_former_quadratic_ceiling_fails_by_depth_40(hier2_profile_48):
     check = check_bound(to_40, "n^2", 71)
     assert not check.passed
     assert [n for n, ok in enumerate(check.verdicts) if not ok] == list(range(31, 41))
+
+
+@pytest.mark.parametrize("name", sorted(set(names()) - {"l-hier:<l>"}) + ["l-hier:2", "l-hier:3"])
+def test_every_spec_carries_one_name_and_one_alphabet(name):
+    spec = get_language(name)
+    assert spec.name == spec.oracle.name == name
+    assert spec.oracle.alphabet == spec.alphabet
+    if spec.automaton is not None:
+        assert spec.automaton.name == name
+        assert spec.automaton.alphabet == spec.alphabet
+    if spec.prob_automaton is not None:
+        assert spec.prob_automaton.alphabet == spec.alphabet
+    assert spec.oracle.max_word_length == (64 if name == "primes" else None)

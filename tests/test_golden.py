@@ -190,3 +190,11 @@ def test_hierarchy_transition_formulas():
 ])
 def test_reachable_counts_tail(name, depth, tail):
     assert get_language(name).automaton.reachable_counts(depth)[-3:] == tail
+
+
+def test_gallery_equiv_report_bytes():
+    # the one report that runs every gallery automaton against its oracle
+    test_experiment_report_bytes(
+        "gallery-equiv", {}, 912,
+        "eeb90560c3ba6126ad288d3e568850aa66a169153dbc4bbf892ed02340680b79",
+    )

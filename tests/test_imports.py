@@ -1,0 +1,81 @@
+"""Every name a statelab module imports is used by that module.
+
+A stdlib-only stand-in for a linter's unused-import check: each
+`src/statelab/*.py` is parsed with `ast`, and an imported name counts as
+used when the module reads it, lists it as a string in `__all__`, or
+names it inside a string annotation.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).parent.parent / "src" / "statelab").glob("*.py"))
+
+
+def _imported(tree: ast.Module) -> dict:
+    """Bound name -> line of every import outside `from __future__`."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    return bound
+
+
+def _string_names(text: str) -> set:
+    try:
+        expr = ast.parse(text, mode="eval")
+    except SyntaxError:
+        return set()
+    return {n.id for n in ast.walk(expr) if isinstance(n, ast.Name)}
+
+
+def _used(tree: ast.Module) -> set:
+    used = set()
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _string_names(node.value)
+    return used
+
+
+def unused_imports(source: str) -> list:
+    tree = ast.parse(source)
+    used = _used(tree)
+    return sorted((line, name) for name, line in _imported(tree).items() if name not in used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_plain_string_and_all_uses():
+    source = (
+        "from a import Used, InAll, InString, Unused\n"
+        "import os.path\n"
+        "__all__ = ['InAll']\n"
+        "def f(x: 'InString') -> None:\n"
+        "    return Used\n"
+    )
+    assert unused_imports(source) == [(1, "Unused"), (2, "os")]
