@@ -38,22 +38,32 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _resolve(ref: str, field: str, load):
     """(spec, spec.<field>) for a gallery name, else (None, the file `ref`
-    parsed by `load(text, name=<file stem>)`); a missing or malformed file,
-    or a gallery language without `field`, is a usage error."""
+    parsed by `load(text, name=<file stem>)`); a missing, unreadable or
+    malformed file, or a gallery language without `field`, is a usage error."""
     try:
         spec = get_language(ref)
     except StatelabError:
         path = Path(ref)
-        if not path.exists():
-            raise UsageError(f"{ref!r} is neither a gallery language nor a file") from None
         try:
-            return None, load(path.read_text(encoding="utf-8"), name=path.stem)
+            text = path.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise UsageError(f"{ref!r} is neither a gallery language nor a file") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise UsageError(f"cannot read {ref!r}: {exc}") from None
+        try:
+            return None, load(text, name=path.stem)
         except FormatError as exc:
             raise UsageError(f"{ref}: {exc}") from exc
     value = getattr(spec, field)
     if value is None:
         raise UsageError(f"gallery language {ref!r} has no {field.replace('_', ' ')}")
     return spec, value
+
+
+def _oracle(ref: str):
+    """The membership oracle of a gallery language or of an automaton file."""
+    return _resolve(ref, "oracle", lambda text, name: from_automaton(
+        load_automaton(text, name=name), name=ref))[1]
 
 
 def _check_word(alphabet, word: str) -> None:
@@ -117,17 +127,17 @@ def cmd_profile(args) -> int:
 
 
 def cmd_quotients(args) -> int:
-    _, oracle = _resolve(args.ref, "oracle", lambda text, name: from_automaton(
-        load_automaton(text, name=name), name=args.ref))
+    oracle = _oracle(args.ref)
     report = count_quotients(oracle, args.order, args.witness, budget=args.budget)
     _emit(_render(report, args.format), args.out)
     return 0
 
 
 def cmd_query_table(args) -> int:
-    _, oracle = _resolve(args.ref, "oracle", lambda text, name: from_automaton(
-        load_automaton(text, name=name), name=args.ref))
+    oracle = _oracle(args.ref)
     if args.rows is not None:
+        for word in args.rows:
+            _check_word(oracle.alphabet, word)
         spec = RowSpec.explicit(args.rows)
     elif args.rows_max is not None:
         spec = RowSpec.exhaustive(args.rows_max)

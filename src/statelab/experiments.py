@@ -32,6 +32,7 @@ from .profiler import check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
     RowSpec,
+    _guard,
     canonical_json,
     count_quotients,
     from_automaton,
@@ -82,10 +83,14 @@ class ExperimentReport:
         return "\n".join(lines)
 
 
-def _need(exp_id: str, name: str, value: Optional[int], least: int) -> None:
-    """A size below `least` leaves nothing to check: a usage error up front."""
+def _need(exp_id: str, name: str, value: Optional[int], least: int,
+          most: Optional[int] = None) -> None:
+    """A size below `least` leaves nothing to check, and one above `most`
+    cannot be checked: a usage error up front."""
     if value is not None and value < least:
         raise UsageError(f"{exp_id} needs {name} >= {least}, got {value}")
+    if value is not None and most is not None and value > most:
+        raise UsageError(f"{exp_id} needs {name} <= {most}, got {value}")
 
 
 def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentReport:
@@ -154,17 +159,29 @@ def _subset_rows(length: int, alpha: Alphabet, reverse_blocks: bool) -> List[str
     return rows
 
 
+# 2^(2^9) = 2^512 subset rows are past any budget; the cap also keeps
+# the budget estimate a number small enough to build and print
+_SUBSET_MAX_LENGTH = 8
+
+
+def _subset_table(spec, length: int, order: int, reverse_blocks: bool, budget: int):
+    """`query_table` of `spec` at `order` over the `_subset_rows` rows. Its
+    budget estimate, 2^(2^length) rows times |A^{<=order}| columns, is
+    checked before any row is built."""
+    _guard((1 << (1 << length)) * spec.alphabet.count_up_to(order), budget)
+    rows = _subset_rows(length, Alphabet("01"), reverse_blocks)
+    return query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget)
+
+
 def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Doubly-exponential query-table growth for the reversed-block language."""
-    _need("exp-alt", "n", n, 0)
+    _need("exp-alt", "n", n, 0, _SUBSET_MAX_LENGTH)
     orders = [n] if n is not None else [1, 2]
     spec = get_language("l-exp")
-    binary = Alphabet("01")
     measured = {}
     ok = True
     for order in orders:
-        rows = _subset_rows(order, binary, reverse_blocks=True)
-        report = query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget)
+        report = _subset_table(spec, order, order, True, budget)
         want = 1 << (1 << order)
         measured[str(order)] = {"profiles": report.count, "required": want}
         ok = ok and report.count == want
@@ -188,14 +205,11 @@ def run_hierarchy(power: int = 2, n: Optional[int] = None,
     """Query-table lower bound for the block-budget language at order n + 2^(n/l)."""
     if n is None:
         n = power
-    _need(f"hierarchy:{power}", "n", n, 0)
+    _need(f"hierarchy:{power}", "n", n, 0, _SUBSET_MAX_LENGTH)
     if n % power != 0:
         raise UsageError(f"n must be a multiple of {power} so 2^(n/l) is integral")
     order = n + (1 << (n // power))
-    spec = get_language(f"l-hier:{power}")
-    binary = Alphabet("01")
-    rows = _subset_rows(n, binary, reverse_blocks=False)
-    report = query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget)
+    report = _subset_table(get_language(f"l-hier:{power}"), n, order, False, budget)
     want = 1 << (1 << n)
     ok = report.count == want
     return _report(

@@ -14,6 +14,12 @@ the raw line only. A file uses either `trans` rows (alternating
 automaton) or `ptrans` rows (probabilistic automaton), never both.
 Every declared (state, letter) pair needs exactly one row.
 
+Both loaders read a document in one pass (`_parse`): each of the four
+headers once, each row's body by its own parser, then every symbol
+against the declared alphabet and states. The loaders add only their
+own row checks (formula atoms; ptrans targets and stochastic rows).
+Every fault, a bad alphabet included, is a FormatError.
+
 Formula grammar: atom | T | F | (f) | f & f | f | f, where '&' binds
 tighter than '|'. State names are free-form tokens minus whitespace,
 the metacharacters & | ( ), and the reserved constants T and F.
@@ -26,19 +32,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .automata import AlternatingAutomaton
-from .errors import FormatError
+from .errors import FormatError, StatelabError
 from .formulas import FALSE, TRUE, Atom, Formula, atoms, conj, disj, format_formula
 from .prob import ProbAutomaton
 from .words import Alphabet
 
 _NAME_RE = re.compile(r"[^\s&|()]+")
 _RESERVED = {"T", "F", "->"}
-
-
-def _check_state_name(name: str, where: str) -> str:
-    if name in _RESERVED or not _NAME_RE.fullmatch(name):
-        raise FormatError(f"{where}: invalid state name {name!r}")
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -106,88 +106,7 @@ def parse_formula(text: str) -> Formula:
 
 
 # ---------------------------------------------------------------------------
-# shared header parsing
-
-class _Parsed:
-    def __init__(self):
-        self.alphabet: Optional[List[str]] = None
-        self.states: Optional[List[str]] = None
-        self.initial: Optional[str] = None
-        self.accepting: Optional[List[str]] = None
-        self.trans: dict = {}
-        self.ptrans: dict = {}
-
-
-def _parse_lines(text: str) -> _Parsed:
-    doc = _Parsed()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        line = raw.strip()
-
-        def err(msg: str):
-            raise FormatError(f"line {lineno}: {msg}")
-
-        if line.startswith("alphabet:"):
-            letters = line[len("alphabet:"):].split()
-            for tok in letters:
-                if len(tok) != 1:
-                    err(f"letters are single characters, got {tok!r}")
-            if doc.alphabet is not None:
-                err("duplicate alphabet line")
-            doc.alphabet = letters
-        elif line.startswith("states:"):
-            if doc.states is not None:
-                err("duplicate states line")
-            doc.states = [
-                _check_state_name(s, f"line {lineno}")
-                for s in line[len("states:"):].split()
-            ]
-        elif line.startswith("initial:"):
-            toks = line[len("initial:"):].split()
-            if len(toks) != 1:
-                err("initial: takes exactly one state")
-            if doc.initial is not None:
-                err("duplicate initial line")
-            doc.initial = toks[0]
-        elif line.startswith("accepting:"):
-            if doc.accepting is not None:
-                err("duplicate accepting line")
-            doc.accepting = line[len("accepting:"):].split()
-        elif line.startswith("trans ") or line.startswith("ptrans "):
-            parts = raw.strip().split(None, 3)
-            if len(parts) < 4:
-                err("expected '<keyword> <state> <letter> -> <body>'")
-            keyword, state, letter, rest = parts
-            if not rest.startswith("->"):
-                err("expected '->' after the letter")
-            body = rest[2:].strip()
-            if len(letter) != 1:
-                err(f"letters are single characters, got {letter!r}")
-            key = (state, letter)
-            target = doc.trans if keyword == "trans" else doc.ptrans
-            if key in doc.trans or key in doc.ptrans:
-                err(f"duplicate transition for ({state}, {letter})")
-            try:
-                if keyword == "trans":
-                    target[key] = parse_formula(body)
-                else:
-                    target[key] = _parse_distribution(body)
-            except FormatError as e:
-                err(str(e))
-        else:
-            err(f"unrecognized line {line!r}")
-
-    if doc.alphabet is None:
-        raise FormatError("missing alphabet: line")
-    if doc.states is None:
-        raise FormatError("missing states: line")
-    if doc.initial is None:
-        raise FormatError("missing initial: line")
-    if doc.accepting is None:
-        raise FormatError("missing accepting: line")
-    return doc
-
+# document parsing
 
 def _parse_distribution(body: str) -> List[Tuple[str, Fraction]]:
     entries = []
@@ -207,85 +126,128 @@ def _parse_distribution(body: str) -> List[Tuple[str, Fraction]]:
     return entries
 
 
-def _validate_symbols(doc: _Parsed):
-    states = set(doc.states)
-    if len(states) != len(doc.states):
+def _letters(tokens: List[str]) -> Alphabet:
+    for tok in tokens:
+        if len(tok) != 1:
+            raise FormatError(f"letters are single characters, got {tok!r}")
+    return Alphabet("".join(tokens))
+
+
+def _states(tokens: List[str]) -> List[str]:
+    for name in tokens:
+        if name in _RESERVED or not _NAME_RE.fullmatch(name):
+            raise FormatError(f"invalid state name {name!r}")
+    return tokens
+
+
+def _one_state(tokens: List[str]) -> str:
+    if len(tokens) != 1:
+        raise FormatError("initial: takes exactly one state")
+    return tokens[0]
+
+
+# header -> reader of its tokens, in the order missing headers are reported
+_HEADERS = {
+    "alphabet": _letters,
+    "states": _states,
+    "initial": _one_state,
+    "accepting": list,
+}
+# row keyword -> (body parser, the loader that takes such rows)
+_ROWS = {
+    "trans": (parse_formula, "load_automaton"),
+    "ptrans": (_parse_distribution, "load_prob_automaton"),
+}
+
+
+def _parse(text: str, keyword: str) -> tuple:
+    """(alphabet, states, initial, accepting, rows) of a document whose rows
+    all use `keyword`, every symbol checked; any fault is a FormatError."""
+    headers: dict = {}
+    rows: dict = {}
+    kinds = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or raw.startswith("#"):
+            continue
+        head, colon, tail = line.partition(":")
+        try:
+            if colon and head in _HEADERS:
+                if head in headers:
+                    raise FormatError(f"duplicate {head} line")
+                headers[head] = _HEADERS[head](tail.split())
+            elif line.startswith(("trans ", "ptrans ")):
+                parts = line.split(None, 3)
+                if len(parts) < 4:
+                    raise FormatError("expected '<keyword> <state> <letter> -> <body>'")
+                kind, state, letter, rest = parts
+                if not rest.startswith("->"):
+                    raise FormatError("expected '->' after the letter")
+                if len(letter) != 1:
+                    raise FormatError(f"letters are single characters, got {letter!r}")
+                if (state, letter) in rows:
+                    raise FormatError(f"duplicate transition for ({state}, {letter})")
+                rows[state, letter] = _ROWS[kind][0](rest[2:].strip())
+                kinds.add(kind)
+            else:
+                raise FormatError(f"unrecognized line {line!r}")
+        except StatelabError as exc:  # Alphabet's own faults included
+            raise FormatError(f"line {lineno}: {exc}") from None
+
+    for head in _HEADERS:
+        if head not in headers:
+            raise FormatError(f"missing {head}: line")
+    for kind in kinds - {keyword}:
+        raise FormatError(f"found {kind} rows; use {_ROWS[kind][1]}")
+    alphabet, states, initial, accepting = (headers[head] for head in _HEADERS)
+    declared = set(states)
+    if len(declared) != len(states):
         raise FormatError("states: has duplicates")
-    letters = set(doc.alphabet)
-    if doc.initial not in states:
-        raise FormatError(f"initial state {doc.initial!r} not declared")
-    for s in doc.accepting:
-        if s not in states:
+    if initial not in declared:
+        raise FormatError(f"initial state {initial!r} not declared")
+    for s in accepting:
+        if s not in declared:
             raise FormatError(f"accepting state {s!r} not declared")
-    rows = doc.trans or doc.ptrans
-    for (state, letter) in rows:
-        if state not in states:
+    for state, letter in rows:
+        if state not in declared:
             raise FormatError(f"transition from undeclared state {state!r}")
-        if letter not in letters:
+        if letter not in alphabet:
             raise FormatError(f"transition on undeclared letter {letter!r}")
-    missing = [
-        (q, a) for q in doc.states for a in doc.alphabet if (q, a) not in rows
-    ]
+    missing = [(q, a) for q in states for a in alphabet if (q, a) not in rows]
     if missing:
         q, a = missing[0]
-        raise FormatError(
-            f"missing transition for ({q}, {a}) and {len(missing) - 1} more"
-        )
+        raise FormatError(f"missing transition for ({q}, {a}) and {len(missing) - 1} more")
+    return alphabet, states, initial, frozenset(accepting), rows
 
 
 def load_automaton(text: str, name: str = "loaded") -> AlternatingAutomaton:
     """Parse the interchange format into a finite alternating automaton."""
-    doc = _parse_lines(text)
-    if doc.ptrans:
-        raise FormatError("found ptrans rows; use load_prob_automaton")
-    _validate_symbols(doc)
-    declared = set(doc.states)
-    for (state, letter), formula in doc.trans.items():
+    alphabet, states, initial, accepting, rows = _parse(text, "trans")
+    declared = set(states)
+    for (state, letter), formula in rows.items():
         for target in atoms(formula):
             if target not in declared:
-                raise FormatError(
-                    f"transition ({state}, {letter}) mentions "
-                    f"undeclared state {target!r}"
-                )
-    return AlternatingAutomaton(
-        alphabet=Alphabet("".join(doc.alphabet)),
-        initial=doc.initial,
-        delta=doc.trans,
-        accepting=frozenset(doc.accepting),
-        states=doc.states,
-        name=name,
-    )
+                raise FormatError(f"transition ({state}, {letter}) mentions "
+                                  f"undeclared state {target!r}")
+    return AlternatingAutomaton(alphabet, initial, rows, accepting, states=states, name=name)
 
 
 def load_prob_automaton(text: str, name: str = "loaded") -> ProbAutomaton:
     """Parse the probabilistic variant; validates stochasticity on load."""
-    doc = _parse_lines(text)
-    if doc.trans:
-        raise FormatError("found trans rows; use load_automaton")
-    _validate_symbols(doc)
-    declared = set(doc.states)
+    alphabet, states, initial, accepting, rows = _parse(text, "ptrans")
+    declared = set(states)
     table = {}
-    for (state, letter), entries in doc.ptrans.items():
+    for (state, letter), entries in rows.items():
         seen = set()
         for target, _ in entries:
             if target not in declared:
-                raise FormatError(
-                    f"ptrans ({state}, {letter}) targets undeclared state {target!r}"
-                )
+                raise FormatError(f"ptrans ({state}, {letter}) targets "
+                                  f"undeclared state {target!r}")
             if target in seen:
-                raise FormatError(
-                    f"ptrans ({state}, {letter}) lists {target!r} twice"
-                )
+                raise FormatError(f"ptrans ({state}, {letter}) lists {target!r} twice")
             seen.add(target)
         table[(state, letter)] = dict(entries)
-    A = ProbAutomaton(
-        alphabet=Alphabet("".join(doc.alphabet)),
-        states=doc.states,
-        initial=doc.initial,
-        trans=table,
-        accepting=frozenset(doc.accepting),
-        name=name,
-    )
+    A = ProbAutomaton(alphabet, states, initial, table, accepting, name=name)
     problems = A.validate_stochastic()
     if problems:
         raise FormatError("not stochastic: " + "; ".join(problems))

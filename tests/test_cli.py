@@ -52,6 +52,27 @@ def test_eval_malformed_file_is_usage_error(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("alphabet_line", ["alphabet: a a", "alphabet:"])
+def test_eval_file_with_a_bad_alphabet_is_usage_error(tmp_path, capsys, alphabet_line):
+    path = tmp_path / "alphabet.aut"
+    path.write_text(GOOD_DOC.replace("alphabet: a b", alphabet_line), encoding="utf-8")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert "line 1: alphabet" in err
+
+
+@pytest.mark.parametrize("kind,reason", [("directory", "Is a directory"), ("binary", "utf-8")])
+def test_eval_unreadable_ref_is_usage_error(tmp_path, capsys, kind, reason):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "eval", str(path), "a")
+    assert (code, out) == (2, "")
+    assert f"cannot read {str(path)!r}" in err and reason in err
+
+
 def test_quotients_json(capsys):
     code, out, _ = run(
         capsys, "quotients", "count-eq3", "--order", "1",
@@ -170,6 +191,12 @@ def test_query_table_explicit_rows(capsys):
     payload = json.loads(out)
     assert payload["count"] == 4
     assert payload["profiles"]["#0"] == "0101"
+
+
+def test_query_table_row_letter_outside_the_alphabet_is_usage_error(capsys):
+    code, out, err = run(capsys, "query-table", "l-exp", "--order", "1", "--rows", "#0", "2")
+    assert (code, out) == (2, "")
+    assert "letter '2' not in alphabet '01#'" in err
 
 
 def test_query_table_requires_a_row_source(capsys):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from statelab import StatelabError, UsageError, get_language, run_experiment
+from statelab import BudgetExceeded, StatelabError, UsageError, get_language, run_experiment
 from statelab.experiments import (
     REGISTRY,
     REGISTRY_ORDER,
@@ -195,6 +195,34 @@ def test_hierarchy_size_off_the_exponent_is_a_usage_error(monkeypatch):
     monkeypatch.setattr(exps, "get_language", _refuse)
     with pytest.raises(UsageError, match="multiple of 3"):
         run_experiment("hierarchy:3", n=4)
+
+
+@pytest.mark.parametrize("exp_id,n,language,order", [
+    ("exp-alt", 5, "l-exp", 5),
+    ("hierarchy:2", 6, "l-hier:2", 6 + 2**3),
+])
+def test_subset_row_budget_is_checked_before_any_row(monkeypatch, exp_id, n, language, order):
+    import statelab.experiments as exps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("subset rows built or queried over budget")
+
+    monkeypatch.setattr(exps, "_subset_rows", refuse)
+    monkeypatch.setattr(exps, "query_table", refuse)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment(exp_id, n=n, budget=1000)
+    # query_table's own estimate: one query per row and column
+    assert exc.value.needed == 2 ** 2 ** n * get_language(language).alphabet.count_up_to(order)
+    assert exc.value.budget == 1000
+
+
+@pytest.mark.parametrize("exp_id", ["exp-alt", "hierarchy:3"])
+def test_subset_rows_past_length_eight_are_a_usage_error(monkeypatch, exp_id):
+    import statelab.experiments as exps
+
+    monkeypatch.setattr(exps, "get_language", _refuse)
+    with pytest.raises(UsageError, match=f"{exp_id} needs n <= 8, got 9"):
+        run_experiment(exp_id, n=9, budget=10**1000)
 
 
 def test_gallery_equiv_profiles_each_automaton_once(monkeypatch):

@@ -236,6 +236,8 @@ MALFORMED = [
     ("trailing-input", load_automaton, "trans q0 a -> q1", "trans q0 a -> q1 q0", "trailing input 'q0'"),
     ("long-alphabet-letter", load_automaton, "alphabet: a b", "alphabet: ab",
      "letters are single characters, got 'ab'"),
+    ("repeated-letter", load_automaton, "alphabet: a b", "alphabet: a a", "repeated letters"),
+    ("empty-alphabet", load_automaton, "alphabet: a b", "alphabet:", "at least one letter"),
     ("duplicate-alphabet", load_automaton, "alphabet: a b", "alphabet: a b\nalphabet: a b",
      "line 2: duplicate alphabet line"),
     ("duplicate-states", load_automaton, "states: q0 q1", "states: q0 q1\nstates: q0 q1",

@@ -79,3 +79,69 @@ def test_the_check_sees_plain_string_and_all_uses():
         "    return Used\n"
     )
     assert unused_imports(source) == [(1, "Unused"), (2, "os")]
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Module-level `_name` function, class or assignment -> its line."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            names = []
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    return defined
+
+
+def _reads(tree: ast.Module) -> set:
+    """Names the module reads, bare or as an attribute (`module._name`)."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def unread_private_names(sources: dict) -> list:
+    """(module, line, name) of every private module-level name that no
+    module among `sources` (module name -> source text) reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return sorted(
+        (module, line, name)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+
+
+def test_every_private_helper_is_read_somewhere():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in SOURCES}
+    assert unread_private_names(sources) == []
+
+
+def test_the_dead_helper_check_sees_functions_classes_and_assignments():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "__all__ = []\n"
+            "class _Dead:\n"
+            "    pass\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def public():\n"
+            "    _local = 1\n"
+            "    return _local\n"
+        ),
+        "b": "import a\nx = a._helper\n",
+    }
+    assert unread_private_names(sources) == [("a", 2, "_UNUSED"), ("a", 4, "_Dead")]
