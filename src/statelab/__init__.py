@@ -7,9 +7,6 @@ measured state-complexity profiles.
 """
 
 from .automata import (
-    ACCEPT_SINK,
-    KINDS,
-    REJECT_SINK,
     AlternatingAutomaton,
     backward_accepts,
     determinize_finite,
@@ -64,8 +61,6 @@ from .words import Alphabet
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACCEPT_SINK",
-    "REJECT_SINK",
     "Alphabet",
     "AlternatingAutomaton",
     "And",
@@ -108,7 +103,6 @@ __all__ = [
     "game_tree_accepts",
     "get_language",
     "is_prime",
-    "KINDS",
     "load_automaton",
     "load_prob_automaton",
     "oracle_intersection",

@@ -61,8 +61,6 @@ from .words import Alphabet
 
 State = Hashable
 
-KINDS = ("deterministic", "universal", "nondeterministic", "alternating")
-
 # Largest declared state set that accepts() compiles lattice tables for.
 # The build evaluates 2^|Q| * |Q| * |A| subset memberships, under a
 # millisecond per letter at 8 states; random test automata have 1-5.
@@ -71,22 +69,6 @@ FOLD_STATE_LIMIT = 8
 # Largest declared state set determinize_finite accepts. Its tables hold
 # 2^|Q| subsets per letter and every result state is a 2^|Q|-bit mask.
 DETERMINIZE_STATE_LIMIT = 12
-
-
-class _Sink:
-    """Absorbing pseudo-state produced by run_det for T/F transitions."""
-
-    __slots__ = ("accepting",)
-
-    def __init__(self, accepting: bool):
-        self.accepting = accepting
-
-    def __repr__(self) -> str:
-        return "ACCEPT_SINK" if self.accepting else "REJECT_SINK"
-
-
-ACCEPT_SINK = _Sink(True)
-REJECT_SINK = _Sink(False)
 
 
 class AlternatingAutomaton:
@@ -145,8 +127,6 @@ class AlternatingAutomaton:
         return _checked(self._delta_fn(q, a), q, a)
 
     def state_accepting(self, q: State) -> bool:
-        if isinstance(q, _Sink):
-            return q.accepting
         return bool(self._accepting_fn(q))
 
     def accepts(self, word: str) -> bool:
@@ -169,31 +149,6 @@ class AlternatingAutomaton:
         for a in reversed(word):
             X = sat[a][X]
         return bool(X >> initial & 1)
-
-    def run_det(self, word: str) -> State:
-        """Follow atomic transitions; raises KindError on And/Or.
-
-        T/F transitions land in absorbing ACCEPT_SINK/REJECT_SINK
-        pseudo-states so that accepts(w) == state_accepting(run_det(w))
-        keeps holding for automata that use the constant sugar.
-        """
-        self.alphabet.check_word(word)
-        q: State = self.initial
-        for ch in word:
-            if isinstance(q, _Sink):
-                continue
-            f = self.delta(q, ch)
-            if f is TRUE:
-                q = ACCEPT_SINK
-            elif f is FALSE:
-                q = REJECT_SINK
-            elif isinstance(f, Atom):
-                q = f.state
-            else:
-                raise KindError(
-                    f"delta({q!r}, {ch!r}) is not atomic: got {f!r}"
-                )
-        return q
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
@@ -277,33 +232,6 @@ class AlternatingAutomaton:
                 )
             start = end
         return order, counts
-
-    def kind(self, depth: int = 4) -> str:
-        """Most restrictive kind fitting all transitions reachable to `depth`.
-
-        Classification is syntactic: any And node anywhere loses
-        "nondeterministic", any Or loses "universal", either loses
-        "deterministic". Constants count as atomic (sink sugar).
-        """
-        has_and = has_or = False
-        for q in self.reachable(depth):
-            for a in self.alphabet:
-                stack = [self.delta(q, a)]
-                while stack:
-                    f = stack.pop()
-                    if isinstance(f, And):
-                        has_and = True
-                        stack.extend(f.children)
-                    elif isinstance(f, Or):
-                        has_or = True
-                        stack.extend(f.children)
-                if has_and and has_or:
-                    return "alternating"
-        if not has_and and not has_or:
-            return "deterministic"
-        if has_and:
-            return "universal"
-        return "nondeterministic"
 
 
 def _checked(f, q: State, a: str) -> Formula:

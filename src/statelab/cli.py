@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this file")
 
     def budget(p):
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET,
                        help="membership query budget")
 
     p = sub.add_parser("eval", help="run one word through an automaton")
@@ -269,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=non_negative_int, required=True,
                    help="max column length")
     rows = p.add_mutually_exclusive_group()
-    rows.add_argument("--rows", nargs="*", default=None,
+    rows.add_argument("--rows", nargs="+", default=None,
                       help="explicit row words")
     rows.add_argument("--rows-max", type=non_negative_int, default=None,
                       help="use all words up to this length as rows")

@@ -14,11 +14,10 @@ class FormatError(StatelabError):
 
 
 class KindError(StatelabError):
-    """Operation requires a different transition structure.
+    """Operation requires a different automaton structure.
 
-    Raised e.g. when run_det is called on an automaton whose transition
-    formulas are not single atoms, or when determinization is asked of an
-    automaton without a declared finite state list.
+    Raised by determinize_finite on an automaton without a declared
+    finite state list.
     """
 
 

@@ -335,10 +335,10 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
         columns = list(spec.alphabet.words_up_to(bits))
         odd_cols = [i for i, u in enumerate(columns)
                     if len(u) == bits and u[0] == "1"]
-        single_hit = all(
-            sum(bits_str[i] == "1" for i in odd_cols) == 1
-            for bits_str in report.profiles.values()
-        )
+        # the odd length-n columns each row hits: one apiece, none shared
+        hits = [tuple(i for i in odd_cols if bits_str[i] == "1")
+                for bits_str in report.profiles.values()]
+        single_hit = all(len(h) == 1 for h in hits) and len(set(hits)) == len(hits)
         need = 1 << (bits - 1)
         measured[str(bits)] = {
             "k_by_residue": ks,

@@ -11,7 +11,7 @@ Alphabet object per task avoids re-deriving letter ranks in every loop.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from typing import Iterator
 
 from .errors import StatelabError
@@ -54,18 +54,24 @@ class Alphabet:
 
     def words_of_length(self, n: int) -> Iterator[str]:
         """All words of exactly length n, in canonical order."""
-        if n < 0:
-            raise StatelabError(f"word length must be nonnegative, got {n}")
+        _check_length(n)
         return ("".join(t) for t in product(self.letters, repeat=n))
 
     def words_up_to(self, n: int) -> Iterator[str]:
         """All words of length <= n, in canonical order."""
-        for k in range(n + 1):
-            yield from self.words_of_length(k)
+        _check_length(n)
+        return chain.from_iterable(map(self.words_of_length, range(n + 1)))
 
     def count_up_to(self, n: int) -> int:
         """|A^{<=n}| without enumerating."""
+        _check_length(n)
         base = len(self.letters)
         if base == 1:
             return n + 1
         return (base ** (n + 1) - 1) // (base - 1)
+
+
+def _check_length(n: int) -> None:
+    """Raise for a negative word length; checked once per call, not per word."""
+    if n < 0:
+        raise StatelabError(f"word length must be nonnegative, got {n}")

@@ -5,10 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelab import (
-    ACCEPT_SINK,
     FALSE,
-    KINDS,
-    REJECT_SINK,
     TRUE,
     AlternatingAutomaton,
     Atom,
@@ -64,34 +61,16 @@ def small_alternating_automaton():
 
 def test_deterministic_run_and_acceptance_agree():
     m = even_zeros_automaton()
-    assert m.kind() == "deterministic"
-    for w in ("", "0", "00", "0110", "111", "000"):
-        assert m.accepts(w) == m.state_accepting(m.run_det(w))
     assert m.accepts("1001")
     assert not m.accepts("10")
 
 
-def test_run_det_rejected_for_branching_transitions():
-    m = small_alternating_automaton()
-    with pytest.raises(KindError):
-        m.run_det("ab")
-
-
 def test_constant_transitions_become_sinks():
-    from statelab import FALSE, TRUE
-
     trans = {("q", "a"): TRUE, ("q", "b"): FALSE}
     m = AlternatingAutomaton("ab", "q", trans, {"q"}, states=["q"], name="sinky")
-    assert m.kind() == "deterministic"
-    assert m.run_det("a") is ACCEPT_SINK
-    assert m.run_det("b") is REJECT_SINK
-    # sinks absorb all further input
-    assert m.run_det("ab") is ACCEPT_SINK
-    assert m.run_det("ba") is REJECT_SINK
+    # TRUE and FALSE decide every continuation
     assert m.accepts("ab")
     assert not m.accepts("ba")
-    assert m.state_accepting(ACCEPT_SINK)
-    assert not m.state_accepting(REJECT_SINK)
 
 
 def test_acceptance_routes_agree_on_mixed_automaton():
@@ -107,36 +86,14 @@ def test_acceptance_routes_agree_on_mixed_automaton():
 def test_determinization_is_deterministic_and_bounded():
     m = small_alternating_automaton()
     d = determinize_finite(m)
-    assert d.kind() == "deterministic"
+    for g in d.states:
+        for a in d.alphabet:
+            f = d.delta(g, a)
+            assert isinstance(f, Atom) and f.state in d.states
     # doubly exponential ceiling on the subset-of-subsets construction
     assert len(d.states) <= 2 ** (2 ** len(m.states))
     for w in ("", "a", "b", "ba", "baa", "ab"):
         assert d.accepts(w) == m.accepts(w)
-
-
-def test_kind_classification():
-    assert get_language("count-eq3").automaton.kind() == "deterministic"
-    assert get_language("maj2").automaton.kind() == "deterministic"
-    assert get_language("not-eq").automaton.kind() == "nondeterministic"
-    assert get_language("lex").automaton.kind() == "alternating"
-    assert get_language("l-hier:2").automaton.kind() == "alternating"
-    assert set(KINDS) == {
-        "deterministic",
-        "universal",
-        "nondeterministic",
-        "alternating",
-    }
-
-
-def test_universal_kind():
-    trans = {
-        ("q", "a"): conj([Atom("q"), Atom("r")]),
-        ("q", "b"): Atom("q"),
-        ("r", "a"): Atom("r"),
-        ("r", "b"): Atom("r"),
-    }
-    m = AlternatingAutomaton("ab", "q", trans, {"q", "r"}, states=["q", "r"])
-    assert m.kind() == "universal"
 
 
 def test_reachable_sets_grow_monotonically():
@@ -207,7 +164,7 @@ def test_determinize_requires_declared_states():
     m = AlternatingAutomaton(
         "ab", 0, lambda q, a: Atom(0), lambda q: True, states=None
     )
-    with pytest.raises(StatelabError):
+    with pytest.raises(KindError):
         determinize_finite(m)
 
 

@@ -152,6 +152,9 @@ def test_flags_a_command_does_not_read_are_rejected(capsys, argv):
     (("quotients", "count-eq3", "--order", "1", "--witness", "-1"), "--witness"),
     (("query-table", "primes", "--order", "-1", "--rows-max", "2"), "--order"),
     (("query-table", "l-exp", "--order", "1", "--rows-max", "-1"), "--rows-max"),
+    (("quotients", "lex", "--order", "1", "--witness", "1", "--budget", "-1"), "--budget"),
+    (("query-table", "lex", "--order", "1", "--rows-max", "1", "--budget", "-1"), "--budget"),
+    (("experiment", "exp-alt", "--budget", "-1"), "--budget"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_negative_size_is_usage_error_before_any_query(capsys, monkeypatch, argv, flag):
     import statelab.cli as cli
@@ -197,6 +200,18 @@ def test_query_table_row_letter_outside_the_alphabet_is_usage_error(capsys):
     code, out, err = run(capsys, "query-table", "l-exp", "--order", "1", "--rows", "#0", "2")
     assert (code, out) == (2, "")
     assert "letter '2' not in alphabet '01#'" in err
+
+
+def test_query_table_rows_takes_at_least_one_word(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["query-table", "lex", "--order", "1", "--rows"])
+    assert exc.value.code == 2
+    assert "argument --rows: expected at least one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "query-table", "lex", "--order", "1", "--rows", "",
+                       "--profiles", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["count"], payload["row_spec"]["rows"]) == (1, [""])
 
 
 def test_query_table_requires_a_row_source(capsys):

@@ -1,5 +1,6 @@
 import inspect
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -128,6 +129,18 @@ def test_primes_linear_small_run_passes():
     assert entry["profiles"] == 2
     assert entry["single_hit"] is True
     assert entry["isolation_recheck"] is True
+
+
+def test_primes_linear_single_hit_needs_distinct_columns(monkeypatch):
+    import statelab.experiments as exps
+
+    # over "01" at n = 2 the odd length-2 columns are "10" and "11", at
+    # indices 5 and 6 of the order-2 columns; both rows hit only "10"
+    shared = SimpleNamespace(count=2, profiles={"1": "0000010", "0": "1000010"})
+    monkeypatch.setattr(exps, "query_table", lambda *args, **kwargs: shared)
+    report = run_experiment("primes-linear", n=2, limit=10**6)
+    assert report.measured["2"]["single_hit"] is False
+    assert not report.passed
 
 
 def test_primes_hs_small_run_passes():

@@ -4,12 +4,19 @@ A stdlib-only stand-in for a linter's unused-import check: each
 `src/statelab/*.py` is parsed with `ast`, and an imported name counts as
 used when the module reads it, lists it as a string in `__all__`, or
 names it inside a string annotation.
+
+The package's `__all__` is checked against what the package binds, so
+an export removed from only one of the two places fails here rather
+than in `from statelab import *`.
 """
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
+
+import statelab
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "statelab").glob("*.py"))
 
@@ -145,3 +152,14 @@ def test_the_dead_helper_check_sees_functions_classes_and_assignments():
         "b": "import a\nx = a._helper\n",
     }
     assert unread_private_names(sources) == [("a", 2, "_UNUSED"), ("a", 4, "_Dead")]
+
+
+def test_package_all_lists_each_public_name_once():
+    exported = statelab.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(statelab, name)] == []
+    public = {
+        name for name, value in vars(statelab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(public - set(exported)) == []

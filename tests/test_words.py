@@ -69,6 +69,12 @@ def test_words_of_length_rejects_negative():
         list(alpha.words_of_length(-1))
 
 
+@pytest.mark.parametrize("method", ["words_up_to", "count_up_to"])
+def test_negative_lengths_raise_like_words_of_length(method):
+    with pytest.raises(StatelabError, match="word length must be nonnegative, got -2"):
+        getattr(Alphabet("ab"), method)(-2)
+
+
 @pytest.mark.parametrize("letters", ["b", "10", "cab", "dbca"])
 def test_words_up_to_matches_sorted_brute_force(letters):
     alpha = Alphabet(letters)
