@@ -70,6 +70,9 @@ FOLD_STATE_LIMIT = 8
 # 2^|Q| subsets per letter and every result state is a 2^|Q|-bit mask.
 DETERMINIZE_STATE_LIMIT = 12
 
+# Most result states determinize_finite builds before it refuses A.
+DETERMINIZE_STATE_CAP = 1_000_000
+
 
 class AlternatingAutomaton:
     """(Q, q0, delta, F) with delta: Q x A -> positive formula over Q.
@@ -152,11 +155,11 @@ class AlternatingAutomaton:
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
-        return set(self._search(n, None)[0])
+        return set(self._search(n)[0])
 
-    def reachable_counts(self, n_max: int, state_cap: Optional[int] = None) -> list:
+    def reachable_counts(self, n_max: int) -> list:
         """[|reachable(0)|, ..., |reachable(n_max)|] in one incremental BFS."""
-        return self._search(n_max, state_cap)[1]
+        return self._search(n_max)[1]
 
     def accepts_up_to(self, n: int) -> list:
         """[accepts(w) for w in alphabet.words_up_to(n)], in that order.
@@ -171,7 +174,7 @@ class AlternatingAutomaton:
         grows with the number of distinct masks, not with the number of
         words. Raises where reachable_counts(n) raises.
         """
-        order, counts = self._search(n, None)
+        order, counts = self._search(n)
         index = {q: i for i, q in enumerate(order)}
         # the transitions out of reachable(n - 1), the only ones a word reads
         expanded = order[:counts[n - 1]] if n else []
@@ -193,7 +196,7 @@ class AlternatingAutomaton:
             accepted.extend(bool(X & 1) for X in layer)
         return accepted
 
-    def _search(self, n: int, state_cap: Optional[int]) -> tuple:
+    def _search(self, n: int) -> tuple:
         """(reachable(n) in discovery order, its size after each layer).
 
         Breadth first; each (q, a) is expanded once, so the transitions
@@ -226,10 +229,6 @@ class AlternatingAutomaton:
                                 seen.add(p)
                                 order.append(p)
             counts.append(len(seen))
-            if state_cap is not None and len(seen) > state_cap:
-                raise StatelabError(
-                    f"reachable set exceeded the state cap ({len(seen)} > {state_cap})"
-                )
             start = end
         return order, counts
 
@@ -351,9 +350,7 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     return sat, accepting, index[A.initial]
 
 
-def determinize_finite(
-    A: AlternatingAutomaton, state_cap: int = 1_000_000
-) -> AlternatingAutomaton:
+def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
     """Language-equivalent deterministic automaton, testing oracle only.
 
     States of the result are monotone boolean functions over subsets of
@@ -400,9 +397,9 @@ def determinize_finite(
             h = step(g, a)
             trans[(g, a)] = Atom(h)
             if h not in seen:
-                if len(seen) >= state_cap:
+                if len(seen) >= DETERMINIZE_STATE_CAP:
                     raise StatelabError(
-                        f"determinization exceeded the state cap ({state_cap})"
+                        f"determinization exceeded the state cap ({DETERMINIZE_STATE_CAP})"
                     )
                 seen.add(h)
                 discovered.append(h)

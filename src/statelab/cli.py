@@ -119,7 +119,7 @@ def cmd_profile(args) -> int:
             f"{n},{c},{'true' if ok else 'false'}"
             for (n, c), ok in zip(prof.pairs(), check.verdicts)
         )
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines)
     else:
         text = prof.to_text() + "\n" + check.to_text()
     _emit(text, args.out)
@@ -159,7 +159,11 @@ def cmd_prob_eval(args) -> int:
 
 
 def cmd_prob_separate(args) -> int:
-    suffix = separate_quotients(args.u, args.v)
+    """Words of unequal length, equal words or a non-binary letter are a usage error."""
+    try:
+        suffix = separate_quotients(args.u, args.v)
+    except StatelabError as exc:
+        raise UsageError(str(exc)) from exc
     print(suffix)
     return 0
 
@@ -213,6 +217,14 @@ def non_negative_int(text: str) -> int:
     return value
 
 
+def positive_int(text: str) -> int:
+    """argparse type of a ceiling multiplier."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def bound_class(text: str) -> str:
     """argparse type of a ceiling shape: a name `profiler.bound_function` knows."""
     try:
@@ -248,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ref")
     p.add_argument("depth", type=non_negative_int)
     p.add_argument("--bound-class", type=bound_class, help="ceiling shape: const, n, n^<k>, 2^n")
-    p.add_argument("--constant", type=int,
+    p.add_argument("--constant", type=positive_int,
                    help="multiplier for the declared or --bound-class "
                    "ceiling (default: the declared constant, else 1)")
     common(p)

@@ -145,9 +145,9 @@ def run_rabin_claim(n: int = 8) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # exp-alt
 
-def _subset_rows(length: int, alpha: Alphabet, reverse_blocks: bool) -> List[str]:
+def _subset_rows(length: int, reverse_blocks: bool) -> List[str]:
     """One row per subset of {0,1}^length: a '#'-joined block list."""
-    base = list(alpha.words_of_length(length))
+    base = list(Alphabet("01").words_of_length(length))
     rows = []
     for mask in range(1 << len(base)):
         blocks = [
@@ -169,7 +169,7 @@ def _subset_table(spec, length: int, order: int, reverse_blocks: bool, budget: i
     budget estimate, 2^(2^length) rows times |A^{<=order}| columns, is
     checked before any row is built."""
     _guard((1 << (1 << length)) * spec.alphabet.count_up_to(order), budget)
-    rows = _subset_rows(length, Alphabet("01"), reverse_blocks)
+    rows = _subset_rows(length, reverse_blocks)
     return query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget)
 
 

@@ -122,17 +122,13 @@ class ProbAutomaton:
 
 
 class ThresholdLanguage:
-    """Cut-point language: member(w) iff P(w) > x, strictly."""
+    """Cut-point language: member(w) iff P(w) > 1/2, strictly."""
 
-    def __init__(self, automaton: ProbAutomaton, threshold: Fraction = HALF):
-        threshold = Fraction(threshold)
-        if not (0 < threshold < 1):
-            raise StatelabError("threshold must lie strictly between 0 and 1")
+    def __init__(self, automaton: ProbAutomaton):
         self.automaton = automaton
-        self.threshold = threshold
 
     def member(self, word: str) -> bool:
-        return self.automaton.acceptance_probability(word) > self.threshold
+        return self.automaton.acceptance_probability(word) > HALF
 
     __call__ = member
 

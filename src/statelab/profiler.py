@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .automata import AlternatingAutomaton
 from .errors import StatelabError
@@ -54,7 +54,7 @@ class ComplexityProfile:
     def to_csv(self) -> str:
         lines = ["n,count"]
         lines.extend(f"{n},{c}" for n, c in self.pairs())
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
     def to_text(self) -> str:
         width = len(str(len(self.counts) - 1))
@@ -94,13 +94,13 @@ class BoundCheck:
         )
 
 
-def profile(
-    A: AlternatingAutomaton, n_max: int, state_cap: Optional[int] = None
-) -> ComplexityProfile:
-    return ComplexityProfile(A.name, A.reachable_counts(n_max, state_cap))
+def profile(A: AlternatingAutomaton, n_max: int) -> ComplexityProfile:
+    return ComplexityProfile(A.name, A.reachable_counts(n_max))
 
 
 def check_bound(p: ComplexityProfile, class_name: str, constant: int) -> BoundCheck:
+    if constant < 1:
+        raise StatelabError(f"bound constant must be >= 1, got {constant}")
     f = bound_function(class_name)
     verdicts = []
     worst = Fraction(0)

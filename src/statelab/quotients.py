@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, StatelabError, UnsupportedError
-from .words import Alphabet
+from .words import Alphabet, _check_length
 
 DEFAULT_BUDGET = 10**8
 
@@ -48,21 +48,21 @@ def from_automaton(A, name: Optional[str] = None) -> LanguageOracle:
     return LanguageOracle(name or A.name, A.alphabet, A.accepts)
 
 
-def oracle_union(L1: LanguageOracle, L2: LanguageOracle, name: str = "") -> LanguageOracle:
+def oracle_union(L1: LanguageOracle, L2: LanguageOracle) -> LanguageOracle:
     if L1.alphabet != L2.alphabet:
         raise StatelabError("union needs oracles over the same alphabet")
     return LanguageOracle(
-        name or f"({L1.name} | {L2.name})",
+        f"({L1.name} | {L2.name})",
         L1.alphabet,
         lambda w: L1.membership(w) or L2.membership(w),
     )
 
 
-def oracle_intersection(L1: LanguageOracle, L2: LanguageOracle, name: str = "") -> LanguageOracle:
+def oracle_intersection(L1: LanguageOracle, L2: LanguageOracle) -> LanguageOracle:
     if L1.alphabet != L2.alphabet:
         raise StatelabError("intersection needs oracles over the same alphabet")
     return LanguageOracle(
-        name or f"({L1.name} & {L2.name})",
+        f"({L1.name} & {L2.name})",
         L1.alphabet,
         lambda w: L1.membership(w) and L2.membership(w),
     )
@@ -140,7 +140,7 @@ class QuotientCountReport:
         lines = ["class,representative"]
         for i, rep in enumerate(self.representatives):
             lines.append(f"{i},{rep}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
     def to_text(self) -> str:
         return (
@@ -207,7 +207,7 @@ class QueryTableReport:
         lines = ["profile,representative"]
         for i, rep in enumerate(self.representatives):
             lines.append(f"{i},{rep}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(lines)
 
     def to_text(self) -> str:
         return (
@@ -313,6 +313,7 @@ def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[in
     queried once more, and any bit that changed raises, as the witness
     re-check in `distinguish` does.
     """
+    _check_length(m_max)
     _guard_length(L, max(map(len, words), default=0) + m_max)
     member = L.membership
     sigs = [0] * len(words)

@@ -19,6 +19,7 @@ from statelab import (
     game_tree_accepts,
     get_language,
 )
+from statelab import automata
 from statelab.automata import DETERMINIZE_STATE_LIMIT, FOLD_STATE_LIMIT
 from statelab.experiments import random_automaton
 
@@ -109,12 +110,6 @@ def test_reachable_sets_grow_monotonically():
 def test_reachable_counts_frozen_prefix():
     m = get_language("count-eq3").automaton
     assert m.reachable_counts(7) == [1, 4, 10, 19, 31, 46, 64, 85]
-
-
-def test_reachable_counts_respects_state_cap():
-    m = get_language("count-eq3").automaton
-    with pytest.raises(StatelabError):
-        m.reachable_counts(10, state_cap=20)
 
 
 def test_reachable_set_sizes_match_reachable_counts():
@@ -249,8 +244,16 @@ def test_determinize_refuses_too_many_states_before_any_transition():
     delta, asked = _counting(table)
     m = AlternatingAutomaton("ab", 0, delta, {0}, states=range(n))
     with pytest.raises(StatelabError, match=f"limited to {DETERMINIZE_STATE_LIMIT} states"):
-        determinize_finite(m, state_cap=1)
+        determinize_finite(m)
     assert asked == []
+
+
+def test_determinize_refuses_more_result_states_than_the_cap(monkeypatch):
+    m = small_alternating_automaton()
+    assert len(determinize_finite(m).states) == 8
+    monkeypatch.setattr(automata, "DETERMINIZE_STATE_CAP", 1)
+    with pytest.raises(StatelabError, match=r"determinization exceeded the state cap \(1\)"):
+        determinize_finite(m)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,23 @@ def test_prob_separate(capsys):
     assert (code, out.strip()) == (0, "#11")
 
 
+@pytest.mark.parametrize("u,v,message", [
+    ("01", "0", "equal length"),
+    ("01", "01", "distinct"),
+    ("0x", "01", "not a binary word"),
+])
+def test_prob_separate_bad_words_are_usage_error(capsys, u, v, message):
+    code, out, err = run(capsys, "prob", "separate", u, v)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_experiment_text_output(capsys):
+    code, out, _ = run(capsys, "experiment", "exp-alt", "--n", "1")
+    assert code == 0
+    assert "verdict: pass" in out
+
+
 def test_experiment_list(capsys):
     code, out, _ = run(capsys, "experiment", "--list")
     assert code == 0
@@ -298,11 +315,21 @@ def test_profile_csv_with_bound_reports_each_verdict(capsys):
 
 def test_profile_csv_bytes_with_and_without_a_bound(tmp_path, capsys):
     code, out, _ = run(capsys, "profile", "maj2", "2", "--format", "csv")
-    assert (code, out) == (0, "n,count,within_bound\n0,1,true\n1,3,true\n2,5,true\n\n")
+    assert (code, out) == (0, "n,count,within_bound\n0,1,true\n1,3,true\n2,5,true\n")
     path = tmp_path / "once.aut"
     path.write_text(GOOD_DOC, encoding="utf-8")
     code, out, _ = run(capsys, "profile", str(path), "2", "--format", "csv")
-    assert (code, out) == (0, "n,count\n0,1\n1,2\n2,2\n\n")
+    assert (code, out) == (0, "n,count\n0,1\n1,2\n2,2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("quotients", "count-eq3", "--order", "1", "--witness", "3"),
+    ("query-table", "lex", "--order", "1", "--rows-max", "1"),
+], ids=lambda argv: argv[0])
+def test_csv_output_ends_with_one_newline(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 @pytest.mark.parametrize("flag", ["--n", "--limit", "--count"])
@@ -411,6 +438,33 @@ def test_bad_bound_class_is_usage_error_before_any_language(capsys, monkeypatch,
     err = capsys.readouterr().err
     assert f"argument --bound-class: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("constant", ["0", "-3"])
+def test_constant_below_one_is_usage_error_before_any_language(capsys, monkeypatch, constant):
+    import statelab.cli as cli
+
+    monkeypatch.setattr(cli, "get_language", lambda name: pytest.fail("language built"))
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "maj2", "4", "--constant", constant])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --constant: must be >= 1, got {constant}" in err
+    assert "Traceback" not in err
+
+
+def test_query_table_rows_max_matches_the_same_rows_given_explicitly(capsys):
+    code, out, _ = run(capsys, "query-table", "lex", "--order", "1",
+                       "--rows-max", "1", "--format", "json")
+    assert code == 0
+    exhaustive = json.loads(out)
+    code, out, _ = run(capsys, "query-table", "lex", "--order", "1",
+                       "--rows", "", "0", "1", "#", "--format", "json")
+    assert code == 0
+    explicit = json.loads(out)
+    assert exhaustive["row_spec"] == {"kind": "exhaustive", "max_length": 1}
+    assert (exhaustive["count"], exhaustive["representatives"]) == (
+        explicit["count"], explicit["representatives"])
 
 
 def test_query_table_rejects_both_row_sources(capsys):

@@ -15,7 +15,6 @@ from statelab.experiments import (
     random_automaton,
     run_core_crosscheck,
 )
-from statelab.words import Alphabet
 
 
 def test_registry_order_is_stable():
@@ -82,10 +81,9 @@ def test_every_runner_parameter_is_an_accepted_override(exp_id):
 
 
 def test_subset_rows_enumeration():
-    alpha = Alphabet("01")
-    rows = _subset_rows(1, alpha, reverse_blocks=False)
+    rows = _subset_rows(1, reverse_blocks=False)
     assert rows == ["", "#0", "#1", "#0#1"]
-    reversed_rows = _subset_rows(2, alpha, reverse_blocks=True)
+    reversed_rows = _subset_rows(2, reverse_blocks=True)
     assert reversed_rows[0] == ""
     assert "#10" in reversed_rows  # block for the word "01"
     assert len(reversed_rows) == 16

@@ -113,13 +113,6 @@ def test_threshold_is_strict():
     assert lang("11")
 
 
-def test_threshold_must_be_interior():
-    m = rabin_automaton()
-    for bad in (Fraction(0), Fraction(1), Fraction(3, 2), Fraction(-1, 2)):
-        with pytest.raises(StatelabError):
-            ThresholdLanguage(m, bad)
-
-
 def test_validate_stochastic_flags_problems():
     alpha = "01"
     good_row = {"q": Fraction(1)}

@@ -34,6 +34,13 @@ def test_bound_function_rejects_unknown_classes():
     assert "const" in BOUND_CLASSES
 
 
+def test_check_bound_rejects_a_constant_below_one():
+    prof = profile(get_language("maj2").automaton, 3)
+    for bad in (0, -1):
+        with pytest.raises(StatelabError, match=f"bound constant must be >= 1, got {bad}"):
+            check_bound(prof, "n", bad)
+
+
 def test_profile_counts_and_name():
     m = get_language("maj2").automaton
     prof = profile(m, 5)
@@ -46,12 +53,6 @@ def test_profile_is_deterministic():
     m = get_language("lex").automaton
     assert profile(m, 8).counts == profile(m, 8).counts
     assert profile(m, 8).counts == m.reachable_counts(8)
-
-
-def test_profile_respects_state_cap():
-    m = get_language("count-eq3").automaton
-    with pytest.raises(StatelabError):
-        profile(m, 40, state_cap=100)
 
 
 def test_profile_of_finite_automaton_levels_off():

@@ -159,6 +159,20 @@ def test_split_depth_equals_distinguish_on_every_pair(name, words, m_max):
     assert split_depth(L, words, m_max) == pairwise_split_depth(L, words, m_max)
 
 
+def test_split_depth_refuses_a_negative_cap_before_any_query():
+    primes = get_language("primes").oracle
+    asked = []
+
+    def member(word):
+        asked.append(word)
+        return primes(word)
+
+    counted = LanguageOracle(primes.name, primes.alphabet, member)
+    with pytest.raises(StatelabError, match="word length must be nonnegative, got -1"):
+        split_depth(counted, ["1", "10", "11"], -1)
+    assert asked == []
+
+
 def test_split_depth_rechecks_every_signature():
     with pytest.raises(StatelabError, match="not pure"):
         split_depth(flaky_oracle(), ["0", "1"], 2)
