@@ -311,6 +311,10 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
     _need("primes-linear", "limit", limit, 1)
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
+    # query_table's estimate, one row per odd residue, is checked before
+    # any isolated prime is searched for
+    for bits in ns:
+        _guard((1 << (bits - 1)) * spec.alphabet.count_up_to(bits), budget)
     measured = {}
     ok = True
     for bits in ns:

@@ -7,12 +7,14 @@ import (64 KB). Larger values first go through one gcd with the product
 of the twelve primes up to 37, then through the Miller-Rabin test with
 fixed witness sets, which is a proven deterministic test below 2^64; the
 thresholds used are the classical ones, so smaller inputs get away with
-fewer witness rounds.
+fewer witness rounds. The isolated-prime search does not call is_prime:
+it sieves its range segment by segment.
 """
 
 from __future__ import annotations
 
-from math import gcd, prod
+from itertools import compress
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from .errors import StatelabError, UnsupportedError
@@ -88,34 +90,73 @@ _TABLE_SIZE = 1 << 16
 _TABLE = sieve(_TABLE_SIZE - 1)
 
 
+# bytes per sieved segment of the isolated-prime search
+_SEGMENT_BYTES = 1 << 17
+# above this shift one window [p - 2^n, p + 2^n] outgrows a segment
+_MAX_ISOLATION_BITS = 16
+
+
 def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     """Smallest k in [1, limit] making p = a + 2^n * k an isolated prime.
 
     Isolated means p is the only prime in the closed interval
-    [p - 2^n, p + 2^n]. a must be odd and below 2^n. Returns None when
-    the search range is exhausted (limit = 0 searches nothing).
+    [p - 2^n, p + 2^n]. a must be odd and below 2^n, and n at most 16.
+    Returns None when the search range is exhausted (limit = 0 searches
+    nothing); a search that would read a number at or above 2^64 is
+    refused.
+
+    The range is sieved one segment at a time: a segment holds a run of
+    consecutive k together with their windows, so no window straddles
+    two segments and the memory used is about _SEGMENT_BYTES whatever
+    the limit.
     """
     if n_bits < 0:
         raise StatelabError(f"n = {n_bits} is negative")
+    if n_bits > _MAX_ISOLATION_BITS:
+        raise UnsupportedError(
+            f"n = {n_bits} is above {_MAX_ISOLATION_BITS}; a window of "
+            f"2^(n+1) numbers would not fit in one sieved segment"
+        )
     if a < 1 or a % 2 == 0:
         raise StatelabError(f"a = {a} is not a positive odd residue")
     step = 1 << n_bits
     if a >= step:
         raise StatelabError(f"a = {a} is not below 2^{n_bits}")
-    for k in range(1, limit + 1):
-        p = a + step * k
-        if is_prime(p) and _isolated(p, step):
-            return k
+    per_segment = max(1, _SEGMENT_BYTES // step - 1)
+    # the window of k ends at a + 2^n * (k + 1), which must stay below 2^64
+    last = min(limit, (TWO_64 - 1 - a) // step - 1)
+    k0 = 1
+    while k0 <= last:
+        k1 = min(last, k0 + per_segment - 1)
+        lo = a + step * (k0 - 1)
+        table = _segment(lo, a + step * (k1 + 1))
+        # the candidate k = k0 + j sits at table index step * (j + 1)
+        candidates = table[step : step * (k1 - k0 + 2) : step]
+        j = candidates.find(1)
+        while j != -1:
+            i = step * (j + 1)
+            if table.find(1, i - step, i) == -1 and table.find(1, i + 1, i + step + 1) == -1:
+                return k0 + j
+            j = candidates.find(1, j + 1)
+        k0 = k1 + 1
+    if last < limit:
+        raise UnsupportedError(
+            f"the window of {a + step * (last + 1)} reaches 2^64; "
+            f"primality is not exact there"
+        )
     return None
 
 
-def _isolated(p: int, radius: int) -> bool:
-    """No prime other than p in [p - radius, p + radius]."""
-    lo, hi = p - radius, p + radius
-    if lo <= 2 <= hi and p != 2:
-        return False
-    # 2 is the only even prime, so the odd q are all that is left to test
-    for q in range(max(lo, 3) | 1, hi + 1, 2):
-        if q != p and is_prime(q):
-            return False
-    return True
+def _segment(lo: int, hi: int) -> bytearray:
+    """Byte table t with t[i] = 1 iff lo + i is prime, for 0 <= lo <= hi."""
+    table = bytearray([1]) * (hi - lo + 1)
+    for k in range(lo, min(hi, 1) + 1):  # 0 and 1
+        table[k - lo] = 0
+    root = isqrt(hi)
+    base = _TABLE if root < _TABLE_SIZE else sieve(root)
+    size = len(table)
+    for q in compress(range(root + 1), base):
+        # multiples below q*q have a smaller prime factor
+        start = max(q * q, -(-lo // q) * q) - lo
+        table[start::q] = bytes(len(range(start, size, q)))
+    return table

@@ -200,10 +200,9 @@ def separate_quotients(u: str, v: str) -> str:
         raise StatelabError("words must have equal length")
     if u == v:
         raise StatelabError("words must be distinct")
-    x_u = bin_frac(u + "1")
-    x_v = bin_frac(v + "1")
-    if x_u == x_v:
-        raise StatelabError(f"{u!r} and {v!r} have equal value; not separable")
-    lo1, hi1 = sorted((x_u, x_v))
+    # the values of u + "1" and v + "1", read so that bin_int checks the
+    # words as given; distinct binary words of one length differ in value
+    top = 1 << len(u)
+    lo1, hi1 = sorted(Fraction(bin_int(word) + top, 2 * top) for word in (u, v))
     w = dyadic_witness(1 / (2 * hi1), min(ONE, 1 / (2 * lo1)))
     return "#" + w

@@ -141,6 +141,20 @@ def test_primes_linear_single_hit_needs_distinct_columns(monkeypatch):
     assert not report.passed
 
 
+def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
+    import statelab.experiments as exps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isolated primes searched for over budget")
+
+    monkeypatch.setattr(exps, "find_isolated_prime", refuse)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("primes-linear", n=9, budget=1000)
+    # query_table's own estimate: 2^(n-1) rows times |{0,1}^{<=n}| columns
+    assert exc.value.needed == 256 * 1023
+    assert exc.value.budget == 1000
+
+
 def test_primes_hs_small_run_passes():
     report = run_experiment("primes-hs", n=3)
     assert report.passed

@@ -1,7 +1,6 @@
 import pytest
 
-from statelab import StatelabError, UnsupportedError, find_isolated_prime, is_prime, sieve
-from statelab.primes import _isolated
+from statelab import StatelabError, UnsupportedError, find_isolated_prime, is_prime, primes, sieve
 
 
 def test_small_values():
@@ -102,12 +101,62 @@ def test_find_isolated_prime_rejects_a_negative_shift():
         find_isolated_prime(1, -1, 5)
 
 
-def full_scan_isolated(table, p, radius):
-    return all(q == p or not table[q] for q in range(max(p - radius, 2), p + radius + 1))
+def test_find_isolated_prime_refuses_a_shift_above_sixteen():
+    with pytest.raises(UnsupportedError):
+        find_isolated_prime(1, 17, 5)
 
 
-def test_odd_only_isolation_scan_matches_the_full_scan():
-    table = sieve(20_000 + 64)
-    for radius in range(2, 65):
-        for p in range(20_000):
-            assert _isolated(p, radius) == full_scan_isolated(table, p, radius), (p, radius)
+def test_find_isolated_prime_takes_a_limit_far_past_the_answer():
+    assert find_isolated_prime(1, 2, 10**30) == 13
+
+
+def test_find_isolated_prime_refuses_a_search_that_reaches_the_ceiling(monkeypatch):
+    # k = 52 gives p = 211 with window [207, 215]
+    monkeypatch.setattr(primes, "TWO_64", 216)
+    assert find_isolated_prime(3, 2, 10**6) == 52
+    monkeypatch.setattr(primes, "TWO_64", 215)
+    with pytest.raises(UnsupportedError):
+        find_isolated_prime(3, 2, 10**6)
+
+
+def per_number_isolated_prime(a, n_bits, limit):
+    """The search restated one number at a time: is_prime on p and on
+    every other number in [p - 2^n, p + 2^n]."""
+    step = 1 << n_bits
+    for k in range(1, limit + 1):
+        p = a + step * k
+        if is_prime(p) and not any(
+            is_prime(q) for q in range(p - step, p + step + 1) if q != p
+        ):
+            return k
+    return None
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """First isolated k of every odd residue below 2^n, n = 1..5."""
+    return {
+        (a, n_bits): per_number_isolated_prime(a, n_bits, 10**5)
+        for n_bits in range(1, 6)
+        for a in range(1, 1 << n_bits, 2)
+    }
+
+
+def assert_agrees_with_the_per_number_search(cases):
+    for (a, n_bits), k in cases:
+        for limit in (0, 1, k - 1, k, k + 1):
+            want = k if limit >= k else None
+            assert find_isolated_prime(a, n_bits, limit) == want, (a, n_bits, limit)
+
+
+def test_find_isolated_prime_agrees_with_the_per_number_search(reference):
+    assert None not in reference.values()
+    assert_agrees_with_the_per_number_search(reference.items())
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 7, 40, 200])
+def test_find_isolated_prime_agrees_across_segment_edges(monkeypatch, reference, segment_bytes):
+    # tiny segments put candidates and windows on every segment edge
+    monkeypatch.setattr(primes, "_SEGMENT_BYTES", segment_bytes)
+    small = [(key, k) for key, k in reference.items() if key[1] <= 4]
+    assert_agrees_with_the_per_number_search(small)

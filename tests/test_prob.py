@@ -229,6 +229,12 @@ def test_separate_quotients_input_validation():
         separate_quotients("0a", "01")
 
 
+@pytest.mark.parametrize("u,v", [("0x", "01"), ("01", "0x")])
+def test_separate_quotients_names_the_word_as_given(u, v):
+    with pytest.raises(StatelabError, match="not a binary word: '0x'$"):
+        separate_quotients(u, v)
+
+
 def test_distribution_is_a_probability_vector():
     m = rabin_automaton()
     for w in ("", "0", "1", "01#1", "##"):
