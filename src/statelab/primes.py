@@ -128,10 +128,10 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     k0 = 1
     while k0 <= last:
         k1 = min(last, k0 + per_segment - 1)
-        lo = a + step * (k0 - 1)
-        table = _segment(lo, a + step * (k1 + 1))
+        lo, hi = a + step * (k0 - 1), a + step * (k1 + 1)
+        table = _segment(lo, hi)
         # the candidate k = k0 + j sits at table index step * (j + 1)
-        candidates = table[step : step * (k1 - k0 + 2) : step]
+        candidates = table[step : hi - lo : step]
         j = candidates.find(1)
         while j != -1:
             i = step * (j + 1)

@@ -119,6 +119,20 @@ def test_find_isolated_prime_refuses_a_search_that_reaches_the_ceiling(monkeypat
         find_isolated_prime(3, 2, 10**6)
 
 
+def test_segment_marks_exactly_the_primes():
+    table = sieve(300)
+    for lo in range(40):
+        for hi in (lo, lo + 1, 300):
+            assert primes._segment(lo, hi) == table[lo : hi + 1], (lo, hi)
+    # past 2^32 the base primes come from a fresh sieve, not the table;
+    # 65537 is the first prime above it, so 65537^2 must be struck out
+    lo = 65537**2 - 1000
+    segment = primes._segment(lo, lo + 3000)
+    assert [i for i, flag in enumerate(segment) if flag] == [
+        i for i in range(3001) if is_prime(lo + i)
+    ]
+
+
 def per_number_isolated_prime(a, n_bits, limit):
     """The search restated one number at a time: is_prime on p and on
     every other number in [p - 2^n, p + 2^n]."""

@@ -225,14 +225,11 @@ def test_separate_quotients_input_validation():
         separate_quotients("0", "00")
     with pytest.raises(StatelabError):
         separate_quotients("01", "01")
-    with pytest.raises(StatelabError):
+    # the error names the word as given, in either position
+    with pytest.raises(StatelabError, match="not a binary word: '0a'$"):
         separate_quotients("0a", "01")
-
-
-@pytest.mark.parametrize("u,v", [("0x", "01"), ("01", "0x")])
-def test_separate_quotients_names_the_word_as_given(u, v):
-    with pytest.raises(StatelabError, match="not a binary word: '0x'$"):
-        separate_quotients(u, v)
+    with pytest.raises(StatelabError, match="not a binary word: '0a'$"):
+        separate_quotients("01", "0a")
 
 
 def test_distribution_is_a_probability_vector():
