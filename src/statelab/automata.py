@@ -259,19 +259,25 @@ def _holding(row: list, index: Mapping, X: int) -> int:
 def backward_accepts(A: AlternatingAutomaton, word: str) -> bool:
     """Membership via the memoized backward value recursion."""
     A.alphabet.check_word(word)
-    # Forward pass: which states can matter at each position.
+    delta = A.delta
+    # Forward pass: which states can matter at each position. A bare Atom
+    # is taken inline, as in _search; only And and Or go through atoms().
     layers = [{A.initial}]
     for ch in word:
         nxt = set()
         for q in layers[-1]:
-            nxt.update(atoms(A.delta(q, ch)))
+            f = delta(q, ch)
+            if type(f) is Atom:
+                nxt.add(f.state)
+            elif f is not TRUE and f is not FALSE:
+                nxt.update(atoms(f))
         layers.append(nxt)
     # Backward pass: value(q, i) for exactly those states.
     val = {q: A.state_accepting(q) for q in layers[-1]}
     for i in range(len(word) - 1, -1, -1):
         ch = word[i]
         lookup = val.__getitem__
-        val = {q: evaluate(A.delta(q, ch), lookup) for q in layers[i]}
+        val = {q: evaluate(delta(q, ch), lookup) for q in layers[i]}
     return val[A.initial]
 
 
@@ -297,9 +303,15 @@ def game_tree_accepts(A: AlternatingAutomaton, word: str) -> bool:
         if isinstance(f, Atom):
             return position(f.state, i + 1)
         if isinstance(f, And):
-            return all(formula(c, i) for c in f.children)
+            for c in f.children:
+                if not formula(c, i):
+                    return False
+            return True
         if isinstance(f, Or):
-            return any(formula(c, i) for c in f.children)
+            for c in f.children:
+                if formula(c, i):
+                    return True
+            return False
         raise StatelabError(f"not a formula: {f!r}")
 
     return position(A.initial, 0)

@@ -325,13 +325,18 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
         for a in range(1, step, 2):
             k = find_isolated_prime(a, bits, limit)
             if k is None:
-                ok = False
-                continue
+                break
             p = a + step * k
             if not _window_composite_by_trial_division(p, step):
                 isolation_ok = False
             ks[str(a)] = k
             rows.append(_lsb_word(k))
+        if k is None:
+            # one residue without an isolated prime up to limit fails the
+            # claim, so the search stops there instead of trying the rest
+            measured[str(bits)] = {"k_by_residue": ks, "no_isolated_prime_for": a}
+            ok = False
+            break
         report = query_table(
             spec.oracle, bits, RowSpec.explicit(rows),
             budget=budget, include_profiles=True,
@@ -470,13 +475,10 @@ def run_core_crosscheck(seed: int = 0, count: int = 1000,
         bad = False
         for a in alpha:
             for w in words:
-                if quotient_member(union, a, w) != (
-                    quotient_member(L1, a, w) or quotient_member(L2, a, w)
-                ):
+                m1, m2 = quotient_member(L1, a, w), quotient_member(L2, a, w)
+                if quotient_member(union, a, w) != (m1 or m2):
                     bad = True
-                if quotient_member(inter, a, w) != (
-                    quotient_member(L1, a, w) and quotient_member(L2, a, w)
-                ):
+                if quotient_member(inter, a, w) != (m1 and m2):
                     bad = True
         if bad:
             lattice_failures += 1

@@ -141,9 +141,15 @@ def evaluate(formula: Formula, truth: Callable[[State], bool]) -> bool:
         except KeyError:
             raise StatelabError(f"no truth value for atom {formula.state!r}") from None
     if isinstance(formula, And):
-        return all(evaluate(c, truth) for c in formula.children)
+        for c in formula.children:
+            if not evaluate(c, truth):
+                return False
+        return True
     if isinstance(formula, Or):
-        return any(evaluate(c, truth) for c in formula.children)
+        for c in formula.children:
+            if evaluate(c, truth):
+                return True
+        return False
     raise StatelabError(f"not a formula: {formula!r}")
 
 

@@ -44,9 +44,13 @@ class Alphabet:
         return f"Alphabet({self.letters!r})"
 
     def check_word(self, word: str) -> None:
-        for ch in word:
-            if ch not in self._rank:
-                raise StatelabError(f"letter {ch!r} not in alphabet {self.letters!r}")
+        """Raise naming the first letter of word outside the alphabet."""
+        # strip leaves nothing exactly when every letter is in the alphabet;
+        # the letters are walked only to name the first bad one
+        if word.strip(self.letters):
+            for ch in word:
+                if ch not in self._rank:
+                    raise StatelabError(f"letter {ch!r} not in alphabet {self.letters!r}")
 
     def sort_key(self, word: str):
         """Key realizing the canonical length-then-declared-letter order."""

@@ -1,5 +1,6 @@
 import inspect
 import json
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -155,6 +156,28 @@ def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     assert exc.value.budget == 1000
 
 
+def test_primes_linear_stops_at_the_first_residue_without_an_isolated_prime(monkeypatch):
+    import statelab.experiments as exps
+
+    real = exps.find_isolated_prime
+    calls = []
+
+    def none_for_residue_3(a, n_bits, limit):
+        calls.append((a, n_bits))
+        return None if a == 3 else real(a, n_bits, limit)
+
+    monkeypatch.setattr(exps, "find_isolated_prime", none_for_residue_3)
+    report = run_experiment("primes-linear", limit=10**6)
+    # the default ns are 2, 3, 4: residue 3 at n = 2 ends the search
+    assert calls == [(1, 2), (3, 2)]
+    assert report.verdict == "fail"
+    assert report.measured == {"2": {"k_by_residue": {"1": 13}, "no_isolated_prime_for": 3}}
+
+    calls.clear()
+    assert run_experiment("primes-linear", n=3, limit=10**6).verdict == "fail"
+    assert calls == [(1, 3), (3, 3)]
+
+
 def test_primes_hs_small_run_passes():
     report = run_experiment("primes-hs", n=3)
     assert report.passed
@@ -272,6 +295,56 @@ def test_core_crosscheck_is_deterministic_for_a_seed():
     r2 = run_core_crosscheck(seed=7, count=25, mono_pairs=200)
     assert r1.passed and r2.passed
     assert r1.canonical_json() == r2.canonical_json()
+
+
+def test_core_crosscheck_asks_each_route_once_per_automaton_and_word(monkeypatch):
+    import statelab.experiments as exps
+
+    automata, calls = [], {"backward": [], "game": [], "det": []}
+
+    def counted(route, fn):
+        def wrapper(A, w):
+            calls[route].append((id(A), w))
+            return fn(A, w)
+        return wrapper
+
+    real_determinize = exps.determinize_finite
+
+    def determinize(A):
+        automata.append(A)
+        D = real_determinize(A)
+        accepts = D.accepts
+
+        def counted_accepts(w):
+            calls["det"].append((id(A), w))
+            return accepts(w)
+
+        D.accepts = counted_accepts
+        return D
+
+    monkeypatch.setattr(exps, "backward_accepts", counted("backward", exps.backward_accepts))
+    monkeypatch.setattr(exps, "game_tree_accepts", counted("game", exps.game_tree_accepts))
+    monkeypatch.setattr(exps, "determinize_finite", determinize)
+    report = run_core_crosscheck(seed=5, count=6, word_bound=3, mono_pairs=1)
+    assert report.passed
+    words = ["".join(t) for n in range(4) for t in product("ab", repeat=n)]
+    expected = [(id(A), w) for A in automata for w in words]
+    assert len(automata) == 6
+    for route in ("backward", "game", "det"):
+        assert calls[route] == expected, route
+
+
+@pytest.mark.parametrize("broken", ["oracle_union", "oracle_intersection"])
+def test_core_crosscheck_catches_a_broken_lattice_oracle(monkeypatch, broken):
+    import statelab.experiments as exps
+
+    swap = {"oracle_union": exps.oracle_intersection,
+            "oracle_intersection": exps.oracle_union}
+    monkeypatch.setattr(exps, broken, swap[broken])
+    report = run_core_crosscheck(seed=0, count=10, word_bound=3, mono_pairs=1)
+    assert report.measured["lattice_failures"] > 0
+    assert report.measured["agreement_failures"] == 0
+    assert report.verdict == "fail"
 
 
 def test_random_automata_have_bounded_shape():

@@ -178,3 +178,65 @@ def test_constants_stay_singletons_through_pickle_and_copy(clone):
     assert evaluate(clone(FALSE), lambda q: True) is False
     for truth in ({"p": False, "q": True, "r": False}, {"p": False, "q": False, "r": False}):
         assert evaluate(g, truth.__getitem__) == evaluate(f, truth.__getitem__)
+
+
+def _evaluate_with_all_any(formula, truth):
+    """evaluate written with all() and any() over generators, kept as the reference."""
+    if formula is TRUE:
+        return True
+    if formula is FALSE:
+        return False
+    if isinstance(formula, Atom):
+        try:
+            return bool(truth(formula.state))
+        except KeyError:
+            raise StatelabError(f"no truth value for atom {formula.state!r}") from None
+    if isinstance(formula, And):
+        return all(_evaluate_with_all_any(c, truth) for c in formula.children)
+    if isinstance(formula, Or):
+        return any(_evaluate_with_all_any(c, truth) for c in formula.children)
+    raise StatelabError(f"not a formula: {formula!r}")
+
+
+# Nodes are built directly rather than through conj/disj, so nested
+# same-operator nodes, constants and single children stay in the tree;
+# "u" is never given a truth value and "junk" is no formula at all.
+_nodes = st.recursive(
+    st.one_of(st.sampled_from("abcu").map(Atom), st.sampled_from([TRUE, FALSE]),
+              st.just("junk")),
+    lambda children: st.one_of(
+        st.lists(children, min_size=1, max_size=4).map(lambda cs: And(tuple(cs))),
+        st.lists(children, min_size=1, max_size=4).map(lambda cs: Or(tuple(cs))),
+    ),
+    max_leaves=16,
+)
+
+
+def _outcome(evaluator, formula, values):
+    looked_up = []
+
+    def truth(q):
+        looked_up.append(q)
+        return values[q]
+
+    try:
+        result = evaluator(formula, truth)
+    except StatelabError as exc:
+        result = ("raised", str(exc))
+    return result, looked_up
+
+
+@settings(derandomize=True, max_examples=500)
+@given(_nodes, st.fixed_dictionaries({q: st.integers(0, 2) for q in "abc"}))
+def test_evaluate_matches_the_all_any_version(formula, values):
+    """Same value, same error, and the same atoms looked up in the same order."""
+    got = _outcome(evaluate, formula, values)
+    assert got == _outcome(_evaluate_with_all_any, formula, values)
+    assert type(got[0]) in (bool, tuple)
+
+
+def test_evaluate_errors_name_the_missing_atom_and_the_non_formula():
+    with pytest.raises(StatelabError, match=r"^no truth value for atom 'u'$"):
+        evaluate(And((Atom("a"), Atom("u"))), {"a": True}.__getitem__)
+    with pytest.raises(StatelabError, match=r"^not a formula: 'junk'$"):
+        evaluate(Or((Atom("a"), "junk")), {"a": False}.__getitem__)

@@ -83,3 +83,29 @@ def test_words_up_to_matches_sorted_brute_force(letters):
         for _ in range(n):
             brute |= {w + a for w in brute for a in letters}
         assert list(alpha.words_up_to(n)) == sorted(brute, key=alpha.sort_key)
+
+
+@pytest.mark.parametrize("word, bad", [
+    ("x011", "x"),   # at the start
+    ("01x1", "x"),   # in the middle
+    ("011x", "x"),   # at the end
+    ("0x1xx", "x"),  # repeated
+    ("0yx1", "y"),   # the first of two different bad letters
+    ("x", "x"),
+])
+def test_check_word_names_the_first_bad_letter(word, bad):
+    with pytest.raises(StatelabError) as exc:
+        Alphabet("01").check_word(word)
+    assert str(exc.value) == f"letter {bad!r} not in alphabet '01'"
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.text(alphabet="01xy", max_size=8))
+def test_check_word_matches_a_letter_by_letter_walk(word):
+    bad = [ch for ch in word if ch not in "01"]
+    if not bad:
+        Alphabet("01").check_word(word)
+        return
+    with pytest.raises(StatelabError) as exc:
+        Alphabet("01").check_word(word)
+    assert str(exc.value) == f"letter {bad[0]!r} not in alphabet '01'"
