@@ -42,12 +42,12 @@ def _resolve(ref: str, field: str, load):
     malformed file, or a gallery language without `field`, is a usage error."""
     try:
         spec = get_language(ref)
-    except StatelabError:
+    except StatelabError as exc:
         path = Path(ref)
         try:
             text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
-            raise UsageError(f"{ref!r} is neither a gallery language nor a file") from None
+            raise UsageError(f"{ref!r} is neither a gallery language nor a file: {exc}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read {ref!r}: {exc}") from None
         try:

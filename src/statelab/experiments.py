@@ -243,7 +243,9 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     }
     # witnesses up to a length's worst observed witness separate all its
     # pairs, so counting with that bound certifies >= 2^(length-1)
-    # classes; one sweep to the longest of them holds every length's count
+    # classes; one sweep to the longest of them holds every length's count:
+    # a class meets A^{<=length} iff its first member does, and the
+    # witnesses of length <= worst are the low bits of each signature
     sweep = count_quotients(
         spec.oracle, n, max(worst for worst, _ in splits.values()), budget=budget
     )
@@ -251,7 +253,9 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     ok = True
     for length in lengths:
         worst, undistinguished = splits[length]
-        classes = sweep.classes_within(length, worst).count
+        mask = (1 << spec.alphabet.count_up_to(worst)) - 1
+        classes = len({sig & mask for sig, rep in zip(sweep.signatures, sweep.representatives)
+                       if len(rep) <= length})
         need = 1 << (length - 1)
         measured[str(length)] = {
             "pairs": need * (need - 1) // 2,

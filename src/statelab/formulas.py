@@ -50,27 +50,25 @@ class Atom:
 
 
 @dataclass(frozen=True, slots=True)
-class And:
+class _Junction:
+    """The body And and Or share; dataclass equality keeps the two apart."""
+
     children: tuple
 
     def __post_init__(self):
         if len(self.children) < 1:
-            raise StatelabError("And needs at least one child")
+            raise StatelabError(f"{type(self).__name__} needs at least one child")
 
     def __repr__(self) -> str:
-        return f"And{self.children!r}"
+        return f"{type(self).__name__}{self.children!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class Or:
-    children: tuple
+class And(_Junction):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.children) < 1:
-            raise StatelabError("Or needs at least one child")
 
-    def __repr__(self) -> str:
-        return f"Or{self.children!r}"
+class Or(_Junction):
+    __slots__ = ()
 
 
 # Forward-reference strings: typing caches every Union it builds, and a
@@ -79,42 +77,34 @@ class Or:
 Formula = Union["_Const", "Atom", "And", "Or"]
 
 
-def conj(parts: Iterable[Formula]) -> Formula:
-    """AND of parts with flattening, constant absorption, singleton collapse."""
+def _junction(parts: Iterable[Formula], node: type, unit: _Const, zero: _Const) -> Formula:
+    """`node` of parts with flattening, constant absorption, singleton collapse:
+    `unit` is dropped, `zero` absorbs the whole junction."""
     out = []
     for p in parts:
-        if p is TRUE:
+        if p is unit:
             continue
-        if p is FALSE:
-            return FALSE
-        if isinstance(p, And):
+        if p is zero:
+            return zero
+        if isinstance(p, node):
             out.extend(p.children)
         else:
             out.append(p)
     if not out:
-        return TRUE
+        return unit
     if len(out) == 1:
         return out[0]
-    return And(tuple(out))
+    return node(tuple(out))
+
+
+def conj(parts: Iterable[Formula]) -> Formula:
+    """AND of parts with flattening, constant absorption, singleton collapse."""
+    return _junction(parts, And, TRUE, FALSE)
 
 
 def disj(parts: Iterable[Formula]) -> Formula:
     """OR of parts with flattening, constant absorption, singleton collapse."""
-    out = []
-    for p in parts:
-        if p is FALSE:
-            continue
-        if p is TRUE:
-            return TRUE
-        if isinstance(p, Or):
-            out.extend(p.children)
-        else:
-            out.append(p)
-    if not out:
-        return FALSE
-    if len(out) == 1:
-        return out[0]
-    return Or(tuple(out))
+    return _junction(parts, Or, FALSE, TRUE)
 
 
 def atoms(formula: Formula) -> Iterator[State]:

@@ -75,19 +75,8 @@ def sieve(limit: int) -> bytearray:
     """Byte table t with t[k] = 1 iff k is prime, for 0 <= k <= limit."""
     if not isinstance(limit, int) or limit < 0:
         raise StatelabError(f"sieve limit must be an integer >= 0, not {limit!r}")
-    table = bytearray([1]) * (limit + 1)
-    for k in (0, 1):
-        if k <= limit:
-            table[k] = 0
-    for p in range(2, int(limit**0.5) + 1):
-        if table[p]:
-            table[p * p :: p] = bytearray(len(range(p * p, limit + 1, p)))
-    return table
-
-
-# primality of every n below the table size, read by is_prime
-_TABLE_SIZE = 1 << 16
-_TABLE = sieve(_TABLE_SIZE - 1)
+    # below 4 there is nothing to strike out
+    return _segment(0, limit, sieve(isqrt(limit)) if limit >= 4 else b"")
 
 
 # bytes per sieved segment of the isolated-prime search
@@ -125,11 +114,17 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     per_segment = max(1, _SEGMENT_BYTES // step - 1)
     # the window of k ends at a + 2^n * (k + 1), which must stay below 2^64
     last = min(limit, (TWO_64 - 1 - a) // step - 1)
+    end = a + step * (last + 1)
+    base = _TABLE
     k0 = 1
     while k0 <= last:
         k1 = min(last, k0 + per_segment - 1)
         lo, hi = a + step * (k0 - 1), a + step * (k1 + 1)
-        table = _segment(lo, hi)
+        if isqrt(hi) >= len(base):
+            # base primes grow with the search, not its limit: up to the root of
+            # a number 16 times further on (or of the end), a few sieves a search
+            base = sieve(min(4 * isqrt(hi), isqrt(end)))
+        table = _segment(lo, hi, base)
         # the candidate k = k0 + j sits at table index step * (j + 1)
         candidates = table[step : hi - lo : step]
         j = candidates.find(1)
@@ -141,22 +136,27 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
         k0 = k1 + 1
     if last < limit:
         raise UnsupportedError(
-            f"the window of {a + step * (last + 1)} reaches 2^64; "
-            f"primality is not exact there"
+            f"the window of {end} reaches 2^64; primality is not exact there"
         )
     return None
 
 
-def _segment(lo: int, hi: int) -> bytearray:
-    """Byte table t with t[i] = 1 iff lo + i is prime, for 0 <= lo <= hi."""
+def _segment(lo: int, hi: int, base: bytes) -> bytearray:
+    """Byte table t with t[i] = 1 iff lo + i is prime, for 0 <= lo <= hi.
+
+    `base` is a prime table (as from `sieve`) that reaches isqrt(hi).
+    """
     table = bytearray([1]) * (hi - lo + 1)
     for k in range(lo, min(hi, 1) + 1):  # 0 and 1
         table[k - lo] = 0
-    root = isqrt(hi)
-    base = _TABLE if root < _TABLE_SIZE else sieve(root)
     size = len(table)
-    for q in compress(range(root + 1), base):
+    for q in compress(range(isqrt(hi) + 1), base):
         # multiples below q*q have a smaller prime factor
         start = max(q * q, -(-lo // q) * q) - lo
         table[start::q] = bytes(len(range(start, size, q)))
     return table
+
+
+# primality of every n below the table size, read by is_prime
+_TABLE_SIZE = 1 << 16
+_TABLE = sieve(_TABLE_SIZE - 1)

@@ -87,43 +87,8 @@ class QuotientCountReport:
     representatives: List[str]
     # each class's membership bitmask over A^{<=witness_bound}, bit i for
     # the i-th witness in canonical order, parallel to `representatives`;
-    # read by classes_within and never rendered
+    # never rendered
     signatures: List[int] = field(default_factory=list, repr=False, compare=False)
-    alphabet: Optional[Alphabet] = field(default=None, repr=False, compare=False)
-
-    def classes_within(self, order: int, witness_bound: int) -> "QuotientCountReport":
-        """The report count_quotients(L, order, witness_bound) gives, without a query.
-
-        Needs order <= self.order and witness_bound <= self.witness_bound.
-        In canonical order the prefixes of length <= order are the first
-        prefixes this report partitioned, and the witnesses of length
-        <= witness_bound give the low bits of each signature. A class
-        meets the shorter prefixes iff its representative, its first
-        member, is one of them, and merging classes on the low bits
-        keeps the first representative of each merged class.
-        """
-        if self.alphabet is None:
-            raise StatelabError("this report carries no signatures")
-        if not (0 <= order <= self.order and 0 <= witness_bound <= self.witness_bound):
-            raise StatelabError(
-                f"order {order} and witness bound {witness_bound} must lie within "
-                f"0..{self.order} and 0..{self.witness_bound}"
-            )
-        mask = (1 << self.alphabet.count_up_to(witness_bound)) - 1
-        classes: Dict[int, str] = {}
-        for sig, rep in zip(self.signatures, self.representatives):
-            if len(rep) > order:
-                break
-            classes.setdefault(sig & mask, rep)
-        return QuotientCountReport(
-            language=self.language,
-            order=order,
-            witness_bound=witness_bound,
-            count=len(classes),
-            representatives=list(classes.values()),
-            signatures=list(classes),
-            alphabet=self.alphabet,
-        )
 
     def to_json(self) -> str:
         return canonical_json(
@@ -272,7 +237,6 @@ def count_quotients(
         count=len(classes),
         representatives=list(classes.values()),
         signatures=list(classes),
-        alphabet=alpha,
     )
 
 
@@ -358,10 +322,17 @@ def query_table(
     if order < 0:
         raise StatelabError("order must be >= 0")
     alpha = L.alphabet
-    row_words = rows.row_words(alpha)
+    # both guards read counts, so nothing is listed before they pass
+    if rows.kind == "exhaustive":
+        row_count, longest = alpha.count_up_to(rows.max_length), rows.max_length
+    else:
+        row_words = rows.row_words(alpha)
+        row_count, longest = len(row_words), max(map(len, row_words), default=0)
+    _guard(row_count * alpha.count_up_to(order), budget)
+    _guard_length(L, order + longest)
+    if rows.kind == "exhaustive":
+        row_words = rows.row_words(alpha)
     columns = list(alpha.words_up_to(order))
-    _guard(len(row_words) * len(columns), budget)
-    _guard_length(L, order + max(map(len, row_words), default=0))
     member = L.membership
     seen: Dict[int, str] = {}
     dump: Dict[str, str] = {}

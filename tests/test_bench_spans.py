@@ -38,6 +38,7 @@ calls = {
     "check_bound": lambda: sl.check_bound(prof, "n", 3),
     "distribution": lambda: sl.rabin_automaton().distribution("01"),
     "exp-alt": lambda: sl.run_experiment("exp-alt", n=1),
+    "primes-hs": lambda: sl.run_experiment("primes-hs", n=4),
 }
 out = {}
 for label, call in calls.items():
@@ -82,3 +83,13 @@ def test_install_traces_each_wrapped_entry_point(traced, label, span, counters):
     assert step["calls"].get(span, 0) == 1
     for name in counters:
         assert step["counters"].get(name, 0) > 0
+
+
+def test_primes_hs_asks_only_the_queries_of_its_one_sweep(traced):
+    # every length's class count is read from one count_quotients sweep,
+    # so the queries issued are exactly the ones its budget guard estimates
+    step = traced["primes-hs"]
+    assert step["calls"].get("quotients.count_quotients", 0) == 1
+    queries = step["counters"].get("quotients.membership_queries", 0)
+    assert queries > 0
+    assert queries == step["counters"].get("quotients.query_estimate", 0)

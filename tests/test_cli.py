@@ -44,6 +44,24 @@ def test_eval_unknown_ref_is_usage_error(capsys):
     assert "neither" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("eval", "REF", "ab"),
+    ("profile", "REF", "4"),
+    ("quotients", "REF", "--order", "1", "--witness", "1"),
+    ("query-table", "REF", "--order", "1", "--rows", "1"),
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("ref,reason", [
+    ("l-hier:1", "'l-hier:1': the hierarchy needs an exponent >= 2"),
+    ("l-hier:x", "bad hierarchy exponent 'x'"),
+])
+def test_malformed_hierarchy_ref_is_usage_error_naming_its_fault(
+        tmp_path, monkeypatch, capsys, argv, ref, reason):
+    monkeypatch.chdir(tmp_path)  # no file of that name
+    code, out, err = run(capsys, *(ref if a == "REF" else a for a in argv))
+    assert (code, out) == (2, "")
+    assert reason in err
+
+
 def test_eval_malformed_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "broken.aut"
     path.write_text("alphabet: a\nstates: q\n", encoding="utf-8")

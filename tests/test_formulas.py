@@ -240,3 +240,67 @@ def test_evaluate_errors_name_the_missing_atom_and_the_non_formula():
         evaluate(And((Atom("a"), Atom("u"))), {"a": True}.__getitem__)
     with pytest.raises(StatelabError, match=r"^not a formula: 'junk'$"):
         evaluate(Or((Atom("a"), "junk")), {"a": False}.__getitem__)
+
+
+def _mirror_conj(parts):
+    """conj written out on its own, kept as the reference."""
+    out = []
+    for p in parts:
+        if p is TRUE:
+            continue
+        if p is FALSE:
+            return FALSE
+        if isinstance(p, And):
+            out.extend(p.children)
+        else:
+            out.append(p)
+    if not out:
+        return TRUE
+    if len(out) == 1:
+        return out[0]
+    return And(tuple(out))
+
+
+def _mirror_disj(parts):
+    """disj written out on its own, kept as the reference."""
+    out = []
+    for p in parts:
+        if p is FALSE:
+            continue
+        if p is TRUE:
+            return TRUE
+        if isinstance(p, Or):
+            out.extend(p.children)
+        else:
+            out.append(p)
+    if not out:
+        return FALSE
+    if len(out) == 1:
+        return out[0]
+    return Or(tuple(out))
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.lists(_nodes, max_size=5))
+def test_conj_and_disj_match_the_two_mirror_builders(parts):
+    # the lists hold constants, nested And/Or nodes, singletons and []
+    for build, mirror in ((conj, _mirror_conj), (disj, _mirror_disj)):
+        got, want = build(iter(parts)), mirror(parts)
+        assert type(got) is type(want)
+        assert got == want if isinstance(want, (And, Or)) else got is want
+
+
+def test_and_and_or_stay_apart_through_equality_repr_and_pickle():
+    children = (Atom("x"), Or((Atom("y"), TRUE)))
+    both = And(children), Or(children)
+    assert both[0] != both[1] and both[1] != both[0]
+    assert [repr(f) for f in both] == [
+        "And(Atom('x'), Or(Atom('y'), TRUE))",
+        "Or(Atom('x'), Or(Atom('y'), TRUE))",
+    ]
+    for f in both:
+        g = pickle.loads(pickle.dumps(f))
+        assert type(g) is type(f) and g == f and hash(g) == hash(f)
+    for node in (And, Or):
+        with pytest.raises(StatelabError, match=f"^{node.__name__} needs at least one child$"):
+            node(())

@@ -1,3 +1,5 @@
+from math import isqrt
+
 import pytest
 
 from statelab import StatelabError, UnsupportedError, find_isolated_prime, is_prime, primes, sieve
@@ -49,6 +51,23 @@ def test_sieve_edges():
     assert list(sieve(2)) == [0, 0, 1]
     flagged = [k for k, flag in enumerate(sieve(30)) if flag]
     assert flagged == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def plain_sieve(limit):
+    """Sieve of Eratosthenes over a list of flags, one multiple at a time."""
+    flags = [k >= 2 for k in range(limit + 1)]
+    for p in range(2, limit + 1):
+        if flags[p]:
+            for m in range(p * p, limit + 1, p):
+                flags[m] = False
+    return bytearray(flags)
+
+
+def test_sieve_equals_a_plain_sieve():
+    # a prefix of a sieve is the sieve of the shorter limit
+    want = plain_sieve((1 << 16) - 1)
+    for limit in [*range(2001), (1 << 16) - 1]:
+        assert sieve(limit) == want[: limit + 1], limit
 
 
 @pytest.mark.parametrize("limit", [-1, -10, 2.5, "9"])
@@ -123,11 +142,11 @@ def test_segment_marks_exactly_the_primes():
     table = sieve(300)
     for lo in range(40):
         for hi in (lo, lo + 1, 300):
-            assert primes._segment(lo, hi) == table[lo : hi + 1], (lo, hi)
-    # past 2^32 the base primes come from a fresh sieve, not the table;
-    # 65537 is the first prime above it, so 65537^2 must be struck out
+            assert primes._segment(lo, hi, table) == table[lo : hi + 1], (lo, hi)
+    # past 2^32 the base primes must reach beyond the 2^16 table; 65537
+    # is the first prime above it, so 65537^2 must be struck out
     lo = 65537**2 - 1000
-    segment = primes._segment(lo, lo + 3000)
+    segment = primes._segment(lo, lo + 3000, sieve(isqrt(lo + 3000)))
     assert [i for i, flag in enumerate(segment) if flag] == [
         i for i in range(3001) if is_prime(lo + i)
     ]
@@ -174,3 +193,38 @@ def test_find_isolated_prime_agrees_across_segment_edges(monkeypatch, reference,
     monkeypatch.setattr(primes, "_SEGMENT_BYTES", segment_bytes)
     small = [(key, k) for key, k in reference.items() if key[1] <= 4]
     assert_agrees_with_the_per_number_search(small)
+
+
+def test_find_isolated_prime_agrees_while_its_base_primes_grow(monkeypatch, reference):
+    # a 4-entry table and tiny segments make the search sieve new base
+    # primes again and again as it climbs
+    monkeypatch.setattr(primes, "_TABLE_SIZE", 4)
+    monkeypatch.setattr(primes, "_TABLE", primes._TABLE[:4])
+    monkeypatch.setattr(primes, "_SEGMENT_BYTES", 7)
+    assert_agrees_with_the_per_number_search(
+        [(key, k) for key, k in reference.items() if key[1] <= 4])
+
+
+@pytest.mark.parametrize("limit", [10**6, 10**30])
+def test_find_isolated_prime_sieves_its_base_primes_once_per_search(monkeypatch, limit):
+    # with the table cut to 4 entries the base primes of every segment
+    # come from sieve; tiny segments make the search span six of them
+    monkeypatch.setattr(primes, "_TABLE_SIZE", 4)
+    monkeypatch.setattr(primes, "_TABLE", primes._TABLE[:4])
+    monkeypatch.setattr(primes, "_SEGMENT_BYTES", 40)
+    real, outer, active = primes.sieve, [], []
+
+    def counted(limit):
+        # sieve recurses through the module name; count outermost calls only
+        if not active:
+            outer.append(limit)
+        active.append(limit)
+        try:
+            return real(limit)
+        finally:
+            active.pop()
+
+    monkeypatch.setattr(primes, "sieve", counted)
+    assert find_isolated_prime(3, 2, limit) == 52
+    # one sieve, sized by the segments searched, whatever the limit
+    assert len(outer) == 1 and outer[0] < 100, outer

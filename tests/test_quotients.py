@@ -7,7 +7,6 @@ from statelab import (
     Alphabet,
     BudgetExceeded,
     LanguageOracle,
-    QuotientCountReport,
     RowSpec,
     StatelabError,
     UnsupportedError,
@@ -54,41 +53,6 @@ def test_count_is_monotone_in_order_and_witness_bound():
     assert by_order == sorted(by_order)
     by_witness = [count_quotients(spec.oracle, 2, m).count for m in range(5)]
     assert by_witness == sorted(by_witness)
-
-
-@pytest.mark.parametrize("name,order,witness_bound", [
-    ("primes", 6, 5),
-    ("count-eq3", 3, 3),
-    ("lex", 3, 3),
-])
-def test_classes_within_equals_a_fresh_count(name, order, witness_bound):
-    L = get_language(name).oracle
-    sweep = count_quotients(L, order, witness_bound)
-    for o in range(order + 1):
-        for m in range(witness_bound + 1):
-            within = sweep.classes_within(o, m)
-            fresh = count_quotients(L, o, m)
-            assert (within.count, within.representatives) == (fresh.count, fresh.representatives)
-            assert within.to_json() == fresh.to_json()
-            assert within.signatures == fresh.signatures
-
-
-def test_classes_within_asks_no_queries_and_reads_only_its_own_range():
-    primes = get_language("primes").oracle
-    asked = []
-    counted = LanguageOracle(primes.name, primes.alphabet,
-                             lambda w: asked.append(w) or primes(w))
-    sweep = count_quotients(counted, 5, 3)
-    assert len(asked) == primes.alphabet.count_up_to(5) * primes.alphabet.count_up_to(3)
-    asked.clear()
-    assert sweep.classes_within(5, 3) == sweep
-    assert sweep.classes_within(4, 2).classes_within(3, 1) == count_quotients(primes, 3, 1)
-    assert asked == []
-    for o, m in ((6, 3), (5, 4), (-1, 0), (0, -1)):
-        with pytest.raises(StatelabError, match="must lie within"):
-            sweep.classes_within(o, m)
-    with pytest.raises(StatelabError, match="no signatures"):
-        QuotientCountReport("bare", 1, 1, 1, [""]).classes_within(0, 0)
 
 
 def test_finite_automaton_counts_stabilize():
@@ -260,6 +224,19 @@ def test_query_table_budget_guard():
         query_table(spec.oracle, 6, RowSpec.exhaustive(6), budget=100)
 
 
+@pytest.mark.parametrize("rows", [RowSpec.explicit(["1"]), RowSpec.exhaustive(40)],
+                         ids=["explicit", "exhaustive"])
+def test_query_table_guards_its_budget_before_listing_a_word(monkeypatch, rows):
+    primes = get_language("primes").oracle
+
+    def refuse(self, n):
+        raise AssertionError(f"listed the words up to length {n}")
+
+    monkeypatch.setattr(Alphabet, "words_up_to", refuse)
+    with pytest.raises(BudgetExceeded):
+        query_table(primes, 28, rows, budget=1000)
+
+
 def test_oracle_union_and_intersection():
     L1 = even_zeros_oracle()
     alpha = Alphabet("01")
@@ -294,8 +271,10 @@ def test_from_automaton_wraps_acceptance():
     lambda L: distinguish(L, "1" + "0" * 62, "1" + "0" * 61 + "1", 4),
     lambda L: count_quotients(L, 40, 25, budget=10**30),
     lambda L: query_table(L, 2, RowSpec.explicit(["1" * 63])),
+    lambda L: query_table(L, 70, RowSpec.explicit(["1"]), budget=10**30),
     lambda L: split_depth(L, ["1" + "0" * 62, "1" * 63], 4),
-], ids=["distinguish", "count_quotients", "query_table", "split_depth"])
+], ids=["distinguish", "count_quotients", "query_table", "query_table-long-columns",
+        "split_depth"])
 def test_over_long_primes_requests_fail_before_any_query(search):
     primes = get_language("primes").oracle
     asked = []
