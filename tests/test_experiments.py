@@ -156,6 +156,42 @@ def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     assert exc.value.budget == 1000
 
 
+def test_primes_hs_checks_its_budget_before_the_first_query(monkeypatch):
+    import dataclasses
+
+    import statelab.experiments as exps
+
+    asked = []
+
+    def counted_language(name):
+        spec = get_language(name)
+        member = spec.oracle.membership
+
+        def counting(word):
+            asked.append(word)
+            return member(word)
+
+        spec.oracle = dataclasses.replace(spec.oracle, membership=counting)
+        return spec
+
+    monkeypatch.setattr(exps, "get_language", counted_language)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("primes-hs", n=11, budget=1000)
+    # the least the sweep asks: every prefix of length <= 11 once
+    assert (exc.value.needed, exc.value.budget) == (2 ** 12 - 1, 1000)
+    assert asked == []
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran after a split search went over budget")
+
+    # past that check (2^9 - 1 <= 600), the split_depth searches refuse
+    # a level before the sweep is reached
+    monkeypatch.setattr(exps, "count_quotients", no_sweep)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("primes-hs", n=8, budget=600)
+    assert exc.value.needed > 600 and asked
+
+
 def test_primes_linear_stops_at_the_first_residue_without_an_isolated_prime(monkeypatch):
     import statelab.experiments as exps
 

@@ -4,6 +4,7 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -304,3 +305,42 @@ def test_and_and_or_stay_apart_through_equality_repr_and_pickle():
     for node in (And, Or):
         with pytest.raises(StatelabError, match=f"^{node.__name__} needs at least one child$"):
             node(())
+
+
+_EVERY_NODE = [Atom("x"), And((Atom("x"), TRUE)), Or((Atom("x"), FALSE))]
+
+
+@pytest.mark.parametrize("node", _EVERY_NODE, ids=["Atom", "And", "Or"])
+@pytest.mark.parametrize("name", ["state", "children", "y"])
+def test_nodes_refuse_every_assignment_and_deletion(node, name):
+    before = repr(node)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot assign to field '{name}'$"):
+        setattr(node, name, 1)
+    with pytest.raises(FrozenInstanceError, match=f"^cannot delete field '{name}'$"):
+        delattr(node, name)
+    assert repr(node) == before
+
+
+@pytest.mark.parametrize("clone", [
+    lambda f: pickle.loads(pickle.dumps(f)),
+    copy.copy,
+    copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_nodes_keep_equality_hash_and_repr(clone):
+    x, y = Atom(("q", 1)), Atom("y")
+    nodes = [x, And((x, y)), Or((x, y)), And((Or((x, TRUE)), FALSE))]
+    assert [repr(f) for f in nodes] == [
+        "Atom(('q', 1))",
+        "And(Atom(('q', 1)), Atom('y'))",
+        "Or(Atom(('q', 1)), Atom('y'))",
+        "And(Or(Atom(('q', 1)), TRUE), FALSE)",
+    ]
+    assert [hash(f) for f in nodes] == [hash((("q", 1),)), hash(((x, y),)), hash(((x, y),)),
+                                        hash(((Or((x, TRUE)), FALSE),))]
+    for f in nodes:
+        g = clone(f)
+        assert type(g) is type(f) and g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert not hasattr(g, "__dict__")
+    # equality asks for the exact class, never a subclass or a look-alike
+    assert x != ("q", 1) and x != y and And((x, y)) != Or((x, y))
+    assert (x == 1) is False and x.__eq__(1) is NotImplemented

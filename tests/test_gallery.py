@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,35 @@ def test_hierarchy_exponent_three_budget():
     assert L("◊0#0")                    # one block within budget 1^3
     assert not L("◊0#0" + "#1" * 7)     # eight blocks exceed 1^3
     assert L("◊◊0#0" + "#1" * 7)        # eight blocks within 2^3
+
+
+_HIER_WORD = re.compile(r"(◊*)([01]*)((?:#[01]*)+)")
+
+
+def _restated_hierarchy_member(w: str, power: int) -> bool:
+    """A diamond prefix of length p, then u, then at most p^power blocks,
+    each opened by '#', one of them equal to u; no other diamond."""
+    match = _HIER_WORD.fullmatch(w)
+    if match is None:
+        return False
+    diamonds, u, tail = match.groups()
+    blocks = tail.split("#")[1:]
+    return len(blocks) <= len(diamonds) ** power and u in blocks
+
+
+@pytest.mark.parametrize("power", [2, 3])
+def test_hierarchy_oracle_matches_the_restated_language_up_to_length_7(power):
+    spec = get_language(f"l-hier:{power}")
+    words = list(spec.alphabet.words_up_to(7))
+    assert len(words) == sum(4 ** k for k in range(8))
+    got = [spec.oracle(w) for w in words]
+    assert got == [_restated_hierarchy_member(w, power) for w in words]
+    assert any(got) and not all(got)
+    # past length 7: four blocks within the budget 2^power, and three
+    # blocks refused only by the budget 1^power
+    for w, want in (("◊◊0#1#1#1#0", True), ("◊0#1#1#0", False)):
+        assert _restated_hierarchy_member(w, power) is want
+        assert spec.oracle(w) is want
 
 
 def test_hierarchy_exponent_is_parsed_in_one_place():

@@ -123,7 +123,7 @@ def test_split_depth_equals_distinguish_on_every_pair(name, words, m_max):
     assert split_depth(L, words, m_max) == pairwise_split_depth(L, words, m_max)
 
 
-def test_split_depth_refuses_a_negative_cap_before_any_query():
+def _counting_primes():
     primes = get_language("primes").oracle
     asked = []
 
@@ -131,10 +131,43 @@ def test_split_depth_refuses_a_negative_cap_before_any_query():
         asked.append(word)
         return primes(word)
 
-    counted = LanguageOracle(primes.name, primes.alphabet, member)
+    return LanguageOracle(primes.name, primes.alphabet, member), asked
+
+
+def test_split_depth_refuses_a_negative_cap_before_any_query():
+    counted, asked = _counting_primes()
     with pytest.raises(StatelabError, match="word length must be nonnegative, got -1"):
         split_depth(counted, ["1", "10", "11"], -1)
     assert asked == []
+
+
+def test_split_depth_checks_each_level_and_the_recheck_against_its_budget():
+    words = odd_binary_words(6)
+    counted, asked = _counting_primes()
+    worst, undistinguished = split_depth(counted, words, 8)
+    assert undistinguished == 0
+    # levels 0..worst, each asked once and then once more by the re-check
+    levels = len(words) * (2 ** (worst + 1) - 1)
+    assert len(asked) == 2 * levels
+    # budget -> (queries asked before the refusal, queries the refused step needed)
+    cases = {
+        2 * levels: None,
+        2 * levels - 1: (levels, 2 * levels),
+        levels: (levels, 2 * levels),
+        levels - 1: (levels - len(words) * 2 ** worst, levels),
+        len(words): (len(words), 3 * len(words)),
+        len(words) - 1: (0, len(words)),
+        0: (0, len(words)),
+    }
+    for budget, refused in cases.items():
+        asked.clear()
+        if refused is None:
+            assert split_depth(counted, words, 8, budget=budget) == (worst, 0)
+            assert len(asked) == 2 * levels
+            continue
+        with pytest.raises(BudgetExceeded) as exc:
+            split_depth(counted, words, 8, budget=budget)
+        assert (len(asked), exc.value.needed, exc.value.budget) == (*refused, budget)
 
 
 def test_split_depth_rechecks_every_signature():
