@@ -57,7 +57,7 @@ from .formulas import (
     atoms,
     evaluate,
 )
-from .words import Alphabet
+from .words import Alphabet, _mask
 
 State = Hashable
 
@@ -151,7 +151,7 @@ class AlternatingAutomaton:
         sat, X, initial = self._fold
         for a in reversed(word):
             X = sat[a][X]
-        return bool(X >> initial & 1)
+        return bool(initial >> X & 1)
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
@@ -179,7 +179,7 @@ class AlternatingAutomaton:
         # the transitions out of reachable(n - 1), the only ones a word reads
         expanded = order[:counts[n - 1]] if n else []
         rows = {a: [self._transition(q, a) for q in expanded] for a in self.alphabet}
-        layer = [sum(1 << i for i, q in enumerate(order) if self.state_accepting(q))]
+        layer = [_mask(self.state_accepting, order)]
         accepted = [bool(layer[0] & 1)]
         for k in range(1, n + 1):
             sources = counts[n - k]
@@ -254,7 +254,7 @@ def _holding(row: list, index: Mapping, X: int) -> int:
     def truth(p: State) -> int:
         return X >> index[p] & 1
 
-    return sum(1 << i for i, f in enumerate(row) if evaluate(f, truth))
+    return _mask(lambda f: evaluate(f, truth), row)
 
 
 def backward_accepts(A: AlternatingAutomaton, word: str) -> bool:
@@ -324,10 +324,10 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     Bit i of a subset mask X stands for A.states[i]. sat[a][X] is the
     mask of the states whose transition formula on a holds when exactly
     the states in X are true, `accepting` is the mask of the accepting
-    states and `initial` the bit of the initial state. Each formula is
-    evaluated on all 2^|Q| subsets at once, as the 2^|Q|-bit set of the
-    subsets that satisfy it, so every atom is checked against the
-    declared states.
+    states and `initial` the 2^|Q|-bit set of the subsets that hold the
+    initial state. Each formula is evaluated on all 2^|Q| subsets at
+    once, as the 2^|Q|-bit set of the subsets that satisfy it, so every
+    atom is checked against the declared states.
     """
     states = A.states
     index = {q: i for i, q in enumerate(states)}
@@ -336,8 +336,7 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     nsub = 1 << len(states)
     every = (1 << nsub) - 1
     # containing[i]: the subsets that contain state i
-    containing = [sum(1 << X for X in range(nsub) if X >> i & 1)
-                  for i in range(len(states))]
+    containing = [_mask(lambda X: X >> i & 1, range(nsub)) for i in range(len(states))]
 
     def satisfying(f: Formula) -> int:
         if f is TRUE:
@@ -357,10 +356,9 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     sat = {}
     for a in A.alphabet:
         rows = [satisfying(A.delta(q, a)) for q in states]
-        sat[a] = [sum(1 << i for i, row in enumerate(rows) if row >> X & 1)
-                  for X in range(nsub)]
-    accepting = sum(1 << i for i, q in enumerate(states) if A.state_accepting(q))
-    return sat, accepting, index[A.initial]
+        sat[a] = [_mask(lambda row: row >> X & 1, rows) for X in range(nsub)]
+    accepting = _mask(A.state_accepting, states)
+    return sat, accepting, containing[index[A.initial]]
 
 
 def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
@@ -383,22 +381,11 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
             f"determinization is limited to {DETERMINIZE_STATE_LIMIT} states, "
             f"got {len(A.states)}"
         )
-    sat, f_mask, qi = _lattice(A)
-    nsub = 1 << len(A.states)
-    g0 = 0
-    for X in range(nsub):
-        if (X >> qi) & 1:
-            g0 |= 1 << X
-
-    subsets = range(nsub)
+    sat, f_mask, g0 = _lattice(A)
 
     def step(g: int, a: str) -> int:
-        col = sat[a]
-        h = 0
-        for X in subsets:
-            if (g >> col[X]) & 1:
-                h |= 1 << X
-        return h
+        # bit X of the result is bit sat[a][X] of g
+        return _mask(lambda Y: g >> Y & 1, sat[a])
 
     trans = {}
     discovered = [g0]

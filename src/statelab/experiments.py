@@ -23,7 +23,7 @@ from .automata import (
     determinize_finite,
     game_tree_accepts,
 )
-from .errors import StatelabError, UsageError
+from .errors import BudgetExceeded, StatelabError, UsageError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
 from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
@@ -42,7 +42,7 @@ from .quotients import (
     quotient_member,
     split_depth,
 )
-from .words import Alphabet
+from .words import Alphabet, _mask
 
 
 @dataclass
@@ -235,23 +235,30 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     # the sweep below asks at least every prefix of length <= n once
     _guard(spec.alphabet.count_up_to(n), budget)
     lengths = range(2, n + 1)
-    splits = {
-        length: split_depth(
-            spec.oracle,
-            [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"],
-            cap,
-            budget=budget,
+    splits = {}
+    # each search and the sweep get what the earlier ones left of budget
+    asked = 0
+    try:
+        for length in lengths:
+            words = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
+            worst, undistinguished = splits[length] = split_depth(
+                spec.oracle, words, cap, budget=budget - asked
+            )
+            # a search asks every word on each witness up to where it stopped
+            # (its worst witness if it split every pair, else the cap), twice
+            last = cap if undistinguished else worst
+            asked += 2 * len(words) * spec.alphabet.count_up_to(last)
+        # witnesses up to a length's worst observed witness separate all its
+        # pairs, so counting with that bound certifies >= 2^(length-1)
+        # classes; one sweep to the longest of them holds every length's
+        # count: a class meets A^{<=length} iff its first member does, and
+        # the witnesses of length <= worst are the low bits of each signature
+        sweep = count_quotients(
+            spec.oracle, n, max(worst for worst, _ in splits.values()),
+            budget=budget - asked,
         )
-        for length in lengths
-    }
-    # witnesses up to a length's worst observed witness separate all its
-    # pairs, so counting with that bound certifies >= 2^(length-1)
-    # classes; one sweep to the longest of them holds every length's count:
-    # a class meets A^{<=length} iff its first member does, and the
-    # witnesses of length <= worst are the low bits of each signature
-    sweep = count_quotients(
-        spec.oracle, n, max(worst for worst, _ in splits.values()), budget=budget
-    )
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(asked + exc.needed, budget) from None
     measured = {}
     ok = True
     for length in lengths:
@@ -344,17 +351,14 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
             measured[str(bits)] = {"k_by_residue": ks, "no_isolated_prime_for": a}
             ok = False
             break
-        report = query_table(
-            spec.oracle, bits, RowSpec.explicit(rows),
-            budget=budget, include_profiles=True,
-        )
-        columns = list(spec.alphabet.words_up_to(bits))
-        odd_cols = [i for i, u in enumerate(columns)
-                    if len(u) == bits and u[0] == "1"]
-        # the odd length-n columns each row hits: one apiece, none shared
-        hits = [tuple(i for i in odd_cols if bits_str[i] == "1")
-                for bits_str in report.profiles.values()]
-        single_hit = all(len(h) == 1 for h in hits) and len(set(hits)) == len(hits)
+        report = query_table(spec.oracle, bits, RowSpec.explicit(rows), budget=budget)
+        # bit i of a profile is the i-th column of A^{<=n}; keep the odd length-n ones
+        odd = _mask(lambda u: len(u) == bits and u[0] == "1",
+                    spec.alphabet.words_up_to(bits))
+        # one odd column per row, none shared; rows that share a profile
+        # share its hits too, so they leave fewer hits than rows
+        hits = {sig & odd for sig in report.signatures}
+        single_hit = len(hits) == len(rows) and all(h.bit_count() == 1 for h in hits)
         need = 1 << (bits - 1)
         measured[str(bits)] = {
             "k_by_residue": ks,

@@ -73,6 +73,9 @@ class ProbAutomaton:
         for a in self.alphabet:
             self._rows[a] = {}
         for (q, a), row in self.trans.items():
+            if a not in self._rows:
+                raise StatelabError(f"row ({q!r}, {a!r}) reads a letter outside "
+                                    f"alphabet {self.alphabet.letters!r}")
             self._rows[a][q] = [(t, p) for t, p in row.items() if p != 0]
 
     def __repr__(self) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, StatelabError, UnsupportedError
-from .words import Alphabet, _check_length
+from .words import Alphabet, _check_length, _mask
 
 DEFAULT_BUDGET = 10**8
 
@@ -155,6 +155,10 @@ class QueryTableReport:
     count: int
     representatives: List[str]
     profiles: Optional[Dict[str, str]] = field(default=None)
+    # each profile's membership bitmask over A^{<=order}, bit i for the i-th
+    # column in canonical order, parallel to `representatives`; never
+    # rendered, and `profiles` spells each row's as a 0/1 string
+    signatures: List[int] = field(default_factory=list, repr=False, compare=False)
 
     def to_json(self) -> str:
         payload = {
@@ -194,17 +198,6 @@ def _guard_length(L: LanguageOracle, longest: int) -> None:
         )
 
 
-def _signature(member: Callable[[str], bool], u: str, witnesses: Sequence[str]) -> int:
-    """Bit i set iff u + witnesses[i] is a member."""
-    sig = 0
-    bit = 1
-    for w in witnesses:
-        if member(u + w):
-            sig |= bit
-        bit <<= 1
-    return sig
-
-
 def count_quotients(
     L: LanguageOracle,
     order: int,
@@ -225,11 +218,9 @@ def count_quotients(
     member = L.membership
     classes: Dict[int, str] = {}
     for u in alpha.words_up_to(order):
-        sig = _signature(member, u, witnesses)
         # first-seen wins: enumeration order is canonical, so the stored
         # representative is the canonically smallest member of its class
-        if sig not in classes:
-            classes[sig] = u
+        classes.setdefault(_mask(member, [u + w for w in witnesses]), u)
     return QuotientCountReport(
         language=L.name,
         order=order,
@@ -249,6 +240,7 @@ def distinguish(
     witness is re-checked through quotient_member before being handed
     back rather than trusted from the search loop.
     """
+    _check_length(m_max)
     _guard_length(L, max(len(u), len(v)) + m_max)
     if u == v:
         return None
@@ -297,14 +289,15 @@ def split_depth(
         _guard(len(words) * (shift + len(L.alphabet.letters) ** length), budget)
         level = list(L.alphabet.words_of_length(length))
         witnesses += level
-        sigs = [sig | _signature(member, u, level) << shift for u, sig in zip(words, sigs)]
+        sigs = [sig | _mask(member, [u + w for w in level]) << shift
+                for u, sig in zip(words, sigs)]
         split = len(set(sigs))
         if split > classes:
             classes, worst = split, length
     # the re-check asks every signature again
     _guard(2 * len(words) * len(witnesses), budget)
     for u, sig in zip(words, sigs):
-        changed = sig ^ _signature(member, u, witnesses)
+        changed = sig ^ _mask(member, [u + w for w in witnesses])
         if changed:
             w = witnesses[(changed & -changed).bit_length() - 1]
             raise StatelabError(
@@ -345,14 +338,8 @@ def query_table(
     seen: Dict[int, str] = {}
     dump: Dict[str, str] = {}
     for w in row_words:
-        profile = 0
-        bit = 1
-        for u in columns:
-            if member(u + w):
-                profile |= bit
-            bit <<= 1
-        if profile not in seen:
-            seen[profile] = w
+        profile = _mask(member, [u + w for u in columns])
+        seen.setdefault(profile, w)
         if include_profiles:
             dump[w] = format(profile, f"0{len(columns)}b")[::-1]
     return QueryTableReport(
@@ -362,4 +349,5 @@ def query_table(
         count=len(seen),
         representatives=list(seen.values()),
         profiles=dump if include_profiles else None,
+        signatures=list(seen),
     )

@@ -12,7 +12,7 @@ Alphabet object per task avoids re-deriving letter ranks in every loop.
 from __future__ import annotations
 
 from itertools import chain, product
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import StatelabError
 
@@ -79,3 +79,15 @@ def _check_length(n: int) -> None:
     """Raise for a negative word length; checked once per call, not per word."""
     if n < 0:
         raise StatelabError(f"word length must be nonnegative, got {n}")
+
+
+def _mask(holds: Callable, items: Iterable) -> int:
+    """Bit i set iff holds(items[i]): the one bit layout of every membership
+    table row, from quotient signatures and profiles to lattice tables."""
+    mask = 0
+    bit = 1
+    for x in items:
+        if holds(x):
+            mask |= bit
+        bit <<= 1
+    return mask

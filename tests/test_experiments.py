@@ -133,13 +133,21 @@ def test_primes_linear_small_run_passes():
 def test_primes_linear_single_hit_needs_distinct_columns(monkeypatch):
     import statelab.experiments as exps
 
-    # over "01" at n = 2 the odd length-2 columns are "10" and "11", at
-    # indices 5 and 6 of the order-2 columns; both rows hit only "10"
-    shared = SimpleNamespace(count=2, profiles={"1": "0000010", "0": "1000010"})
-    monkeypatch.setattr(exps, "query_table", lambda *args, **kwargs: shared)
-    report = run_experiment("primes-linear", n=2, limit=10**6)
-    assert report.measured["2"]["single_hit"] is False
-    assert not report.passed
+    # over "01" at n = 2 the odd length-2 columns are "10" and "11", bits
+    # 5 and 6 of the order-2 profiles
+    tables = [
+        # both rows hit only "10"
+        SimpleNamespace(count=2, signatures=[1 << 5, 1 | 1 << 5]),
+        # the second row hits both "10" and "11"
+        SimpleNamespace(count=2, signatures=[1 << 6, 1 << 5 | 1 << 6]),
+        # both rows share one full profile, which hits "10" alone
+        SimpleNamespace(count=1, signatures=[1 << 5]),
+    ]
+    for table in tables:
+        monkeypatch.setattr(exps, "query_table", lambda *args, **kwargs: table)
+        report = run_experiment("primes-linear", n=2, limit=10**6)
+        assert report.measured["2"]["single_hit"] is False
+        assert not report.passed
 
 
 def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
@@ -156,7 +164,11 @@ def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     assert exc.value.budget == 1000
 
 
-def test_primes_hs_checks_its_budget_before_the_first_query(monkeypatch):
+def _count_primes_hs_queries(monkeypatch, member=None):
+    """The words primes-hs asks of its oracle, collected as it runs.
+
+    `member`, when given, answers in place of the primes oracle.
+    """
     import dataclasses
 
     import statelab.experiments as exps
@@ -165,16 +177,23 @@ def test_primes_hs_checks_its_budget_before_the_first_query(monkeypatch):
 
     def counted_language(name):
         spec = get_language(name)
-        member = spec.oracle.membership
+        answer = member or spec.oracle.membership
 
         def counting(word):
             asked.append(word)
-            return member(word)
+            return answer(word)
 
         spec.oracle = dataclasses.replace(spec.oracle, membership=counting)
         return spec
 
     monkeypatch.setattr(exps, "get_language", counted_language)
+    return asked
+
+
+def test_primes_hs_checks_its_budget_before_the_first_query(monkeypatch):
+    import statelab.experiments as exps
+
+    asked = _count_primes_hs_queries(monkeypatch)
     with pytest.raises(BudgetExceeded) as exc:
         run_experiment("primes-hs", n=11, budget=1000)
     # the least the sweep asks: every prefix of length <= 11 once
@@ -185,11 +204,34 @@ def test_primes_hs_checks_its_budget_before_the_first_query(monkeypatch):
         raise AssertionError("the sweep ran after a split search went over budget")
 
     # past that check (2^9 - 1 <= 600), the split_depth searches refuse
-    # a level before the sweep is reached
+    # a level before the sweep is reached, within the budget of the run
     monkeypatch.setattr(exps, "count_quotients", no_sweep)
     with pytest.raises(BudgetExceeded) as exc:
         run_experiment("primes-hs", n=8, budget=600)
-    assert exc.value.needed > 600 and asked
+    assert 0 < len(asked) <= 600 < exc.value.needed
+    assert exc.value.budget == 600
+
+
+@pytest.mark.parametrize("n, cap, member", [
+    (3, 24, None),
+    (8, 24, None),
+    # "100" and "101" both start with "10" and are never split, so the
+    # search of length 3 runs to the cap though its last split is at level 0
+    (4, 3, lambda w: w.startswith("11")),
+], ids=["primes-3", "primes-8", "unsplit-pairs"])
+def test_primes_hs_charges_each_search_exactly(monkeypatch, n, cap, member):
+    asked = _count_primes_hs_queries(monkeypatch, member)
+    # the run fits a budget of what it asks, and one query less stops it short
+    full = run_experiment("primes-hs", n=n, cap=cap)
+    used = len(asked)
+    asked.clear()
+    assert run_experiment("primes-hs", n=n, cap=cap, budget=used).measured == full.measured
+    assert len(asked) == used
+    asked.clear()
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("primes-hs", n=n, cap=cap, budget=used - 1)
+    assert len(asked) < used
+    assert (exc.value.needed, exc.value.budget) == (used, used - 1)
 
 
 def test_primes_linear_stops_at_the_first_residue_without_an_isolated_prime(monkeypatch):

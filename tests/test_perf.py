@@ -1,4 +1,4 @@
-"""Timings of two hot primitives, through pytest-benchmark.
+"""Timings of hot primitives, through pytest-benchmark.
 
 Each case runs one round (`benchmark.pedantic`), so the suite pays for
 one call and still checks its result. To keep the timings, run
@@ -13,7 +13,8 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from statelab import Atom, get_language  # noqa: E402
+from statelab import Atom, RowSpec, count_quotients, get_language, query_table  # noqa: E402
+from statelab.experiments import _subset_rows  # noqa: E402
 
 ATOMS = 100_000
 
@@ -33,3 +34,18 @@ def test_reachable_counts_of_l_hier_2_to_depth_30(benchmark):
     counts = benchmark.pedantic(automaton.reachable_counts, args=(30,), rounds=1, iterations=1)
     assert counts[:8] == [1, 2, 9, 31, 82, 177, 333, 566]
     assert counts[-1] == 63_877
+
+
+def test_count_quotients_of_primes_at_order_10_witness_5(benchmark):
+    # the primes-hs sweep at n = 10: 2047 prefixes times 63 witnesses
+    primes = get_language("primes").oracle
+    report = benchmark.pedantic(count_quotients, args=(primes, 10, 5), rounds=1, iterations=1)
+    assert report.count == 1027 and len(report.signatures) == 1027
+
+
+def test_query_table_of_the_exp_alt_rows_at_order_3(benchmark):
+    # exp-alt at n = 3: one row per subset of {0,1}^3, 40 columns each
+    rows = RowSpec.explicit(_subset_rows(3, True))
+    l_exp = get_language("l-exp").oracle
+    report = benchmark.pedantic(query_table, args=(l_exp, 3, rows), rounds=1, iterations=1)
+    assert report.count == 256 and len(report.signatures) == 256

@@ -141,6 +141,11 @@ def test_validate_stochastic_flags_problems():
     assert rabin_automaton().validate_stochastic() == []
 
 
+def test_a_row_on_a_letter_outside_the_alphabet_is_named():
+    with pytest.raises(StatelabError, match=r"row \('q', 'x'\) reads a letter outside alphabet '01'"):
+        ProbAutomaton("01", ["q"], "q", {("q", "x"): {"q": 1}}, [])
+
+
 def test_dyadic_witness_anchors():
     assert dyadic_witness(Fraction(1, 3), Fraction(1, 2)) == "110"
     assert dyadic_witness(Fraction(0), Fraction(1)) == "1"

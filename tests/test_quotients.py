@@ -88,6 +88,14 @@ def flaky_oracle():
     return LanguageOracle("flaky", Alphabet("01"), flaky)
 
 
+@pytest.mark.parametrize("u, v", [("1", "1"), ("1", "10")], ids=["equal", "distinct"])
+def test_distinguish_refuses_a_negative_cap_before_any_query(u, v):
+    counted, asked = _counting_primes()
+    with pytest.raises(StatelabError, match="word length must be nonnegative, got -1"):
+        distinguish(counted, u, v, -1)
+    assert asked == []
+
+
 def test_distinguish_rechecks_its_answer():
     with pytest.raises(StatelabError, match="not pure"):
         distinguish(flaky_oracle(), "0", "1", 2)
@@ -214,6 +222,27 @@ def test_query_table_explicit_rows_and_profiles():
         "#0#1": "0111",
     }
     assert report.row_spec == {"kind": "explicit", "rows": ["", "#0", "#1", "#0#1"]}
+
+
+@pytest.mark.parametrize("language, order, rows", [
+    ("l-exp", 1, RowSpec.explicit(["", "#0", "#1", "#0#1", "#1#0"])),
+    ("count-eq3", 2, RowSpec.exhaustive(2)),
+    ("primes", 3, RowSpec.exhaustive(3)),
+], ids=["explicit", "exhaustive", "exhaustive-primes"])
+def test_query_table_signatures_render_to_the_profiles(language, order, rows):
+    L = get_language(language).oracle
+    report = query_table(L, order, rows, include_profiles=True)
+    width = L.alphabet.count_up_to(order)
+    assert len(report.signatures) == report.count == len(set(report.signatures))
+    for rep, sig in zip(report.representatives, report.signatures):
+        assert "".join(str(sig >> i & 1) for i in range(width)) == report.profiles[rep]
+    # hidden like QuotientCountReport.signatures: not rendered, not compared
+    plain = query_table(L, order, rows)
+    assert plain.signatures == report.signatures
+    assert "signatures" not in report.to_json() and "signatures" not in repr(report)
+    plain.profiles = report.profiles
+    plain.signatures = []
+    assert plain == report
 
 
 def test_query_table_exhaustive_rows_match_quotient_counts():

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelab import Alphabet, StatelabError
+from statelab.words import _mask
 
 
 def test_alphabet_basics():
@@ -109,3 +110,13 @@ def test_check_word_matches_a_letter_by_letter_walk(word):
     with pytest.raises(StatelabError) as exc:
         Alphabet("01").check_word(word)
     assert str(exc.value) == f"letter {bad[0]!r} not in alphabet '01'"
+
+
+@settings(derandomize=True, max_examples=300)
+@given(st.lists(st.integers(min_value=-3, max_value=3), max_size=80))
+def test_mask_sets_bit_i_iff_item_i_holds(items):
+    # truthiness decides: holds may return any value, here the item itself
+    for holds in (lambda x: x, lambda x: x % 2 == 0):
+        want = sum(1 << i for i, x in enumerate(items) if holds(x))
+        assert _mask(holds, items) == want
+        assert _mask(holds, iter(items)) == want
