@@ -42,7 +42,7 @@ from .quotients import (
     quotient_member,
     split_depth,
 )
-from .words import Alphabet, _mask
+from .words import Alphabet
 
 
 @dataclass
@@ -165,12 +165,16 @@ _SUBSET_MAX_LENGTH = 8
 
 
 def _subset_table(spec, length: int, order: int, reverse_blocks: bool, budget: int):
-    """`query_table` of `spec` at `order` over the `_subset_rows` rows. Its
-    budget estimate, 2^(2^length) rows times |A^{<=order}| columns, is
-    checked before any row is built."""
-    _guard((1 << (1 << length)) * spec.alphabet.count_up_to(order), budget)
+    """`query_table` of `spec` at `order` over the `_subset_rows` rows and the
+    columns the proof reads: "◊" * (order - length) + u for u in {0,1}^length,
+    no padding when order == length. Its budget estimate, 2^(2^length) rows
+    times 2^length columns, is checked before any row is built."""
+    _guard((1 << (1 << length)) * (1 << length), budget)
+    pad = "◊" * (order - length)
+    columns = [pad + u for u in Alphabet("01").words_of_length(length)]
     rows = _subset_rows(length, reverse_blocks)
-    return query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget)
+    return query_table(spec.oracle, order, RowSpec.explicit(rows), budget=budget,
+                       columns=RowSpec.explicit(columns))
 
 
 def run_exp_alt(n: Optional[int] = None, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
@@ -325,10 +329,10 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
     _need("primes-linear", "limit", limit, 1)
     ns = [n] if n is not None else [2, 3, 4]
     spec = get_language("primes")
-    # query_table's estimate, one row per odd residue, is checked before
-    # any isolated prime is searched for
+    # query_table's estimate, one row per odd residue and one column per
+    # odd length-n word, is checked before any isolated prime is searched for
     for bits in ns:
-        _guard((1 << (bits - 1)) * spec.alphabet.count_up_to(bits), budget)
+        _guard((1 << (bits - 1)) ** 2, budget)
     measured = {}
     ok = True
     for bits in ns:
@@ -351,14 +355,14 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
             measured[str(bits)] = {"k_by_residue": ks, "no_isolated_prime_for": a}
             ok = False
             break
-        report = query_table(spec.oracle, bits, RowSpec.explicit(rows), budget=budget)
-        # bit i of a profile is the i-th column of A^{<=n}; keep the odd length-n ones
-        odd = _mask(lambda u: len(u) == bits and u[0] == "1",
-                    spec.alphabet.words_up_to(bits))
+        # the profiles over the odd length-n columns are the rows' hits
+        odd = [u for u in spec.alphabet.words_of_length(bits) if u[0] == "1"]
+        report = query_table(spec.oracle, bits, RowSpec.explicit(rows), budget=budget,
+                             columns=RowSpec.explicit(odd))
         # one odd column per row, none shared; rows that share a profile
-        # share its hits too, so they leave fewer hits than rows
-        hits = {sig & odd for sig in report.signatures}
-        single_hit = len(hits) == len(rows) and all(h.bit_count() == 1 for h in hits)
+        # leave fewer profiles than rows
+        single_hit = (len(report.signatures) == len(rows)
+                      and all(h.bit_count() == 1 for h in report.signatures))
         need = 1 << (bits - 1)
         measured[str(bits)] = {
             "k_by_residue": ks,

@@ -68,6 +68,13 @@ class ProbAutomaton:
         self.name = name
         if initial not in self.states:
             raise StatelabError(f"initial state {initial!r} not in state list")
+        declared = set(self.states)
+        for q, _ in self.trans:
+            if q not in declared:
+                raise StatelabError(f"row source {q!r} not in state list")
+        for q in self.accepting:
+            if q not in declared:
+                raise StatelabError(f"accepting state {q!r} not in state list")
         # Sparse per-letter adjacency: letter -> {source: [(target, p), ...]}
         self._rows: Dict[str, Dict[State, list]] = {}
         for a in self.alphabet:

@@ -5,7 +5,7 @@ with witnesses bounded by length m can only undercount (two prefixes
 with different quotients may agree on all short witnesses), so every
 number reported here is a certified LOWER bound: bounded witnesses can
 merge classes, never split them. The same logic applies to query-table
-profiles with a bounded or explicit row set.
+profiles with a bounded or explicit row set, and over any column set.
 
 All enumeration is in the canonical order: length first, then the
 alphabet's declared letter order. Representatives reported for classes
@@ -116,7 +116,7 @@ class QuotientCountReport:
 
 @dataclass(frozen=True)
 class RowSpec:
-    """Which words become query-table rows."""
+    """Which words become query-table rows, or columns."""
 
     kind: str  # "exhaustive" | "explicit"
     max_length: int = 0
@@ -155,7 +155,7 @@ class QueryTableReport:
     count: int
     representatives: List[str]
     profiles: Optional[Dict[str, str]] = field(default=None)
-    # each profile's membership bitmask over A^{<=order}, bit i for the i-th
+    # each profile's membership bitmask over the columns, bit i for the i-th
     # column in canonical order, parallel to `representatives`; never
     # rendered, and `profiles` spells each row's as a 0/1 string
     signatures: List[int] = field(default_factory=list, repr=False, compare=False)
@@ -307,41 +307,53 @@ def split_depth(
     return worst, undistinguished
 
 
+def _listed(spec: RowSpec, alpha: Alphabet) -> Tuple[int, int, Optional[List[str]]]:
+    """(size, longest word, words) of a word set. An exhaustive set is
+    counted, not listed, so its words are None until a guard has passed."""
+    if spec.kind == "exhaustive":
+        return alpha.count_up_to(spec.max_length), spec.max_length, None
+    words = spec.row_words(alpha)
+    return len(words), max(map(len, words), default=0), words
+
+
 def query_table(
     L: LanguageOracle,
     order: int,
     rows: RowSpec,
     budget: int = DEFAULT_BUDGET,
     include_profiles: bool = False,
+    columns: Optional[RowSpec] = None,
 ) -> QueryTableReport:
-    """Count distinct row profiles against all order-<=order prefix columns.
+    """Count distinct row profiles against prefix columns of length <= order.
 
     The profile of a row word w is the bit vector of membership(u + w)
-    over every column u in A^{<=order}, canonical order. Distinct
-    profiles lower-bound the query table size of that order.
+    over every column u, canonical order. The columns are `columns`,
+    by default all of A^{<=order}. Dropping columns can only merge
+    profiles, so the distinct profiles over any column set lower-bound
+    the query table size of that order.
     """
     if order < 0:
         raise StatelabError("order must be >= 0")
     alpha = L.alphabet
-    # both guards read counts, so nothing is listed before they pass
-    if rows.kind == "exhaustive":
-        row_count, longest = alpha.count_up_to(rows.max_length), rows.max_length
-    else:
-        row_words = rows.row_words(alpha)
-        row_count, longest = len(row_words), max(map(len, row_words), default=0)
-    _guard(row_count * alpha.count_up_to(order), budget)
-    _guard_length(L, order + longest)
-    if rows.kind == "exhaustive":
-        row_words = rows.row_words(alpha)
-    columns = list(alpha.words_up_to(order))
+    if columns is None:
+        columns = RowSpec.exhaustive(order)
+    # the guards read counts, so no exhaustive set is listed before they pass
+    row_count, longest, row_words = _listed(rows, alpha)
+    column_count, widest, column_words = _listed(columns, alpha)
+    if widest > order:
+        raise StatelabError(f"a column of length {widest} is past order {order}")
+    _guard(row_count * column_count, budget)
+    _guard_length(L, widest + longest)
+    row_words = row_words if row_words is not None else rows.row_words(alpha)
+    column_words = column_words if column_words is not None else columns.row_words(alpha)
     member = L.membership
     seen: Dict[int, str] = {}
     dump: Dict[str, str] = {}
     for w in row_words:
-        profile = _mask(member, [u + w for u in columns])
+        profile = _mask(member, [u + w for u in column_words])
         seen.setdefault(profile, w)
         if include_profiles:
-            dump[w] = format(profile, f"0{len(columns)}b")[::-1]
+            dump[w] = format(profile, f"0{column_count}b")[::-1] if column_count else ""
     return QueryTableReport(
         language=L.name,
         order=order,

@@ -5,7 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from statelab import BudgetExceeded, StatelabError, UsageError, get_language, run_experiment
+from statelab import (
+    BudgetExceeded,
+    StatelabError,
+    UsageError,
+    get_language,
+    query_table,
+    run_experiment,
+)
 from statelab.experiments import (
     REGISTRY,
     REGISTRY_ORDER,
@@ -150,6 +157,34 @@ def test_primes_linear_single_hit_needs_distinct_columns(monkeypatch):
         assert not report.passed
 
 
+@pytest.mark.parametrize("exp_id,n", [
+    *(("exp-alt", n) for n in range(4)),
+    ("hierarchy:2", 0), ("hierarchy:2", 2), ("hierarchy:3", 0), ("hierarchy:3", 3),
+    *(("primes-linear", n) for n in range(2, 6)),
+])
+def test_tables_over_the_proof_columns_keep_every_full_table_profile(monkeypatch, exp_id, n):
+    import statelab.experiments as exps
+
+    tables = []
+
+    def with_full_table(L, order, rows, budget, columns):
+        part = query_table(L, order, rows, budget=budget, columns=columns)
+        tables.append((query_table(L, order, rows, budget=budget), part, columns))
+        return part
+
+    monkeypatch.setattr(exps, "query_table", with_full_table)
+    assert run_experiment(exp_id, n=n).passed
+    (full, part, columns), = tables
+    # the restricted profiles are the full ones read at the chosen columns,
+    # and they keep every full profile apart
+    alphabet = get_language(full.language).alphabet
+    index = {u: i for i, u in enumerate(alphabet.words_up_to(full.order))}
+    picked = [index[u] for u in columns.row_words(alphabet)]
+    assert {sum((sig >> i & 1) << j for j, i in enumerate(picked))
+            for sig in full.signatures} == set(part.signatures)
+    assert part.count == full.count
+
+
 def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     import statelab.experiments as exps
 
@@ -159,8 +194,8 @@ def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     monkeypatch.setattr(exps, "find_isolated_prime", refuse)
     with pytest.raises(BudgetExceeded) as exc:
         run_experiment("primes-linear", n=9, budget=1000)
-    # query_table's own estimate: 2^(n-1) rows times |{0,1}^{<=n}| columns
-    assert exc.value.needed == 256 * 1023
+    # query_table's own estimate: 2^(n-1) rows times 2^(n-1) odd length-n columns
+    assert exc.value.needed == 256 * 256
     assert exc.value.budget == 1000
 
 
@@ -337,8 +372,10 @@ def test_subset_row_budget_is_checked_before_any_row(monkeypatch, exp_id, n, lan
     monkeypatch.setattr(exps, "query_table", refuse)
     with pytest.raises(BudgetExceeded) as exc:
         run_experiment(exp_id, n=n, budget=1000)
-    # query_table's own estimate: one query per row and column
-    assert exc.value.needed == 2 ** 2 ** n * get_language(language).alphabet.count_up_to(order)
+    # query_table's own estimate: one query per row and column, one
+    # column per word of {0,1}^n, fewer than all of A^{<=order}
+    assert exc.value.needed == 2 ** 2 ** n * 2 ** n
+    assert exc.value.needed < 2 ** 2 ** n * get_language(language).alphabet.count_up_to(order)
     assert exc.value.budget == 1000
 
 

@@ -146,6 +146,17 @@ def test_a_row_on_a_letter_outside_the_alphabet_is_named():
         ProbAutomaton("01", ["q"], "q", {("q", "x"): {"q": 1}}, [])
 
 
+def test_rows_and_accepting_states_outside_the_state_list_are_refused():
+    rows = {("q", "0"): {"q": 1}, ("q", "1"): {"q": 1}}
+    with pytest.raises(StatelabError, match="row source 'z' not in state list"):
+        ProbAutomaton("01", ["q"], "q", {**rows, ("z", "0"): {"q": 1}}, ["q"])
+    with pytest.raises(StatelabError, match="accepting state 'ghost' not in state list"):
+        ProbAutomaton("01", ["q"], "q", rows, ["ghost"])
+    with pytest.raises(StatelabError, match="row source 'z'"):
+        ProbAutomaton("01", ["q"], "q", {**rows, ("z", "0"): {"q": 1}}, ["ghost"])
+    assert ProbAutomaton("01", ["q"], "q", rows, ["q"]).validate_stochastic() == []
+
+
 def test_dyadic_witness_anchors():
     assert dyadic_witness(Fraction(1, 3), Fraction(1, 2)) == "110"
     assert dyadic_witness(Fraction(0), Fraction(1)) == "1"

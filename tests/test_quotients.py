@@ -2,6 +2,8 @@ import json
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statelab import (
     Alphabet,
@@ -297,6 +299,81 @@ def test_query_table_guards_its_budget_before_listing_a_word(monkeypatch, rows):
     monkeypatch.setattr(Alphabet, "words_up_to", refuse)
     with pytest.raises(BudgetExceeded):
         query_table(primes, 28, rows, budget=1000)
+
+
+@pytest.mark.parametrize("language, order, rows", [
+    ("l-exp", 1, RowSpec.explicit(["", "#0", "#1", "#0#1", "#1#0"])),
+    ("count-eq3", 2, RowSpec.exhaustive(2)),
+    ("primes", 3, RowSpec.exhaustive(3)),
+], ids=["explicit", "exhaustive", "exhaustive-primes"])
+def test_query_table_full_column_set_is_the_default(language, order, rows):
+    L = get_language(language).oracle
+    default = query_table(L, order, rows, include_profiles=True)
+    full = query_table(L, order, rows, include_profiles=True,
+                       columns=RowSpec.exhaustive(order))
+    assert (full.count, full.representatives, full.signatures) == (
+        default.count, default.representatives, default.signatures)
+    assert full.to_json() == default.to_json()
+
+
+@pytest.mark.parametrize("language, order, rows, columns", [
+    ("l-exp", 2, ["", "#0", "#1", "#01", "#10", "#0#11"], ["00", "01", "10", "11"]),
+    ("l-exp", 2, ["#0", "#1", "#0#1"], ["", "1", "#", "1#"]),
+    ("l-hier:2", 4, ["#0", "#1", "#0#1", "#00"], ["◊◊0", "◊◊1", "◊0", ""]),
+    ("primes", 3, ["1", "01", "11", "001"], ["100", "101", "110", "111"]),
+    ("count-eq3", 2, ["", "a", "ab", "bc"], ["", "c", "ba"]),
+    ("count-eq3", 2, ["a", "b"], []),
+    ("primes", 3, ["1", "01"], RowSpec.exhaustive(1)),
+])
+def test_query_table_explicit_columns_match_brute_force(language, order, rows, columns):
+    L = get_language(language).oracle
+    columns = columns if isinstance(columns, RowSpec) else RowSpec.explicit(columns)
+    report = query_table(L, order, RowSpec.explicit(rows), include_profiles=True,
+                         columns=columns)
+    listed = columns.row_words(L.alphabet)
+    profiles = {w: "".join("1" if L(u + w) else "0" for u in listed)
+                for w in RowSpec.explicit(rows).row_words(L.alphabet)}
+    assert report.profiles == profiles
+    for rep, sig in zip(report.representatives, report.signatures):
+        assert [bool(sig >> i & 1) for i in range(len(listed))] == [L(u + rep) for u in listed]
+    assert report.count == len(set(profiles.values()))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(language=st.sampled_from(["l-exp", "count-eq3", "primes", "maj2"]),
+       order=st.integers(0, 2), data=st.data())
+def test_query_table_count_never_grows_when_columns_are_dropped(language, order, data):
+    L = get_language(language).oracle
+    every = list(L.alphabet.words_up_to(order))
+    kept = data.draw(st.lists(st.sampled_from(every), unique=True))
+    rows = RowSpec.exhaustive(2)
+    full = query_table(L, order, rows)
+    part = query_table(L, order, rows, columns=RowSpec.explicit(kept))
+    assert part.count <= full.count
+
+
+@pytest.mark.parametrize("columns, match", [
+    (RowSpec.explicit(["0", "011"]), "column of length 3 is past order 2"),
+    (RowSpec.exhaustive(3), "column of length 3 is past order 2"),
+    (RowSpec.explicit(["0", "2"]), "letter '2' not in alphabet '01'"),
+], ids=["explicit-too-long", "exhaustive-too-long", "bad-letter"])
+def test_query_table_refuses_a_bad_column_before_any_query(columns, match):
+    asked = []
+    L = LanguageOracle("even-zeros", Alphabet("01"),
+                       lambda w: asked.append(w) or w.count("0") % 2 == 0)
+    with pytest.raises(StatelabError, match=match):
+        query_table(L, 2, RowSpec.explicit(["", "1"]), columns=columns)
+    assert asked == []
+
+
+def test_query_table_budget_counts_the_columns_asked():
+    L = even_zeros_oracle()
+    columns = RowSpec.explicit(["00", "01", "10"])
+    # 3 rows times 3 columns, not times the 7 words of {0,1}^{<=2}
+    assert query_table(L, 2, RowSpec.exhaustive(1), budget=9, columns=columns).count == 2
+    with pytest.raises(BudgetExceeded) as exc:
+        query_table(L, 2, RowSpec.exhaustive(1), budget=8, columns=columns)
+    assert (exc.value.needed, exc.value.budget) == (9, 8)
 
 
 def test_oracle_union_and_intersection():
