@@ -30,7 +30,7 @@ from .interchange import (
     serialize_automaton,
     serialize_prob_automaton,
 )
-from .primes import find_isolated_prime, is_prime, sieve
+from .primes import find_isolated_prime, find_isolated_primes, is_prime, sieve
 from .prob import (
     ProbAutomaton,
     ThresholdLanguage,
@@ -98,6 +98,7 @@ __all__ = [
     "evaluate",
     "ExperimentReport",
     "find_isolated_prime",
+    "find_isolated_primes",
     "format_formula",
     "from_automaton",
     "game_tree_accepts",

@@ -27,7 +27,7 @@ from .errors import BudgetExceeded, StatelabError, UsageError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
 from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
-from .primes import find_isolated_prime
+from .primes import find_isolated_primes
 from .profiler import check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
@@ -245,13 +245,11 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     try:
         for length in lengths:
             words = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
-            worst, undistinguished = splits[length] = split_depth(
+            worst, undistinguished, queries = split_depth(
                 spec.oracle, words, cap, budget=budget - asked
             )
-            # a search asks every word on each witness up to where it stopped
-            # (its worst witness if it split every pair, else the cap), twice
-            last = cap if undistinguished else worst
-            asked += 2 * len(words) * spec.alphabet.count_up_to(last)
+            splits[length] = worst, undistinguished
+            asked += queries
         # witnesses up to a length's worst observed witness separate all its
         # pairs, so counting with that bound certifies >= 2^(length-1)
         # classes; one sweep to the longest of them holds every length's
@@ -340,8 +338,7 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
         ks = {}
         rows = []
         isolation_ok = True
-        for a in range(1, step, 2):
-            k = find_isolated_prime(a, bits, limit)
+        for a, k in find_isolated_primes(bits, limit).items():
             if k is None:
                 break
             p = a + step * k
@@ -351,7 +348,7 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
             rows.append(_lsb_word(k))
         if k is None:
             # one residue without an isolated prime up to limit fails the
-            # claim, so the search stops there instead of trying the rest
+            # claim, so the report ends there and no larger n is tried
             measured[str(bits)] = {"k_by_residue": ks, "no_isolated_prime_for": a}
             ok = False
             break

@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .automata import AlternatingAutomaton
 from .errors import StatelabError
 from .formulas import FALSE, And, Atom, conj, disj
-from .primes import is_prime
+from .primes import _TABLE, _TABLE_SIZE, is_prime
 from .prob import ProbAutomaton, ThresholdLanguage, bin_int, rabin_automaton
 from .quotients import LanguageOracle
 from .words import Alphabet
@@ -349,9 +349,15 @@ def l_hierarchy(power: int) -> LanguageSpec:
 # primes: binary words whose LSB-first value is prime
 
 def primes_language() -> LanguageSpec:
+    def member(w: str) -> bool:
+        # most queries are short words: look their value up in the 2^16
+        # sieve table without calling is_prime
+        value = bin_int(w)
+        return _TABLE[value] == 1 if value < _TABLE_SIZE else is_prime(value)
+
     # a word of at most 64 letters has an LSB-first value below 2^64,
     # the range where is_prime is exact
-    return _spec("primes", "01", lambda w: is_prime(bin_int(w)), max_word_length=64)
+    return _spec("primes", "01", member, max_word_length=64)
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,15 @@ of the twelve primes up to 37, then through the Miller-Rabin test with
 fixed witness sets, which is a proven deterministic test below 2^64; the
 thresholds used are the classical ones, so smaller inputs get away with
 fewer witness rounds. The isolated-prime search does not call is_prime:
-it sieves its range segment by segment.
+it sieves its range segment by segment, once for all the residues it
+is asked about.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import gcd, isqrt, prod
-from typing import Optional
+from typing import Dict, Optional
 
 from .errors import StatelabError, UnsupportedError
 
@@ -92,13 +93,30 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
     [p - 2^n, p + 2^n]. a must be odd and below 2^n, and n at most 16.
     Returns None when the search range is exhausted (limit = 0 searches
     nothing); a search that would read a number at or above 2^64 is
-    refused.
-
-    The range is sieved one segment at a time: a segment holds a run of
-    consecutive k together with their windows, so no window straddles
-    two segments and the memory used is about _SEGMENT_BYTES whatever
-    the limit.
+    refused. This is the one-residue view of `find_isolated_primes`: the
+    same search, stopped as soon as a has its k.
     """
+    step = _window(n_bits)
+    if a < 1 or a % 2 == 0:
+        raise StatelabError(f"a = {a} is not a positive odd residue")
+    if a >= step:
+        raise StatelabError(f"a = {a} is not below 2^{n_bits}")
+    return _isolated(step, limit, (a,))[a]
+
+
+def find_isolated_primes(n_bits: int, limit: int) -> Dict[int, Optional[int]]:
+    """`find_isolated_prime(a, n_bits, limit)` for every odd a below 2^n.
+
+    Maps each odd residue, in increasing order, to its k or None, from
+    one search: the range is sieved once for all residues, and only as
+    far as the last residue still without an isolated prime needs.
+    """
+    step = _window(n_bits)
+    return _isolated(step, limit, range(1, step, 2))
+
+
+def _window(n_bits: int) -> int:
+    """2^n, the isolation radius, for a valid shift n."""
     if n_bits < 0:
         raise StatelabError(f"n = {n_bits} is negative")
     if n_bits > _MAX_ISOLATION_BITS:
@@ -106,39 +124,51 @@ def find_isolated_prime(a: int, n_bits: int, limit: int) -> Optional[int]:
             f"n = {n_bits} is above {_MAX_ISOLATION_BITS}; a window of "
             f"2^(n+1) numbers would not fit in one sieved segment"
         )
-    if a < 1 or a % 2 == 0:
-        raise StatelabError(f"a = {a} is not a positive odd residue")
-    step = 1 << n_bits
-    if a >= step:
-        raise StatelabError(f"a = {a} is not below 2^{n_bits}")
-    per_segment = max(1, _SEGMENT_BYTES // step - 1)
+    return 1 << n_bits
+
+
+def _isolated(step: int, limit: int, residues) -> Dict[int, Optional[int]]:
+    """The isolated-prime search over the odd `residues` below step = 2^n.
+
+    The range is sieved one segment at a time: a segment holds a run of
+    consecutive k together with their windows, so no window straddles
+    two segments and the memory used is about _SEGMENT_BYTES whatever
+    the limit. An isolated prime is a 1 between two runs of 2^n zeros
+    in the segment's table, found by one substring search.
+    """
+    found: Dict[int, Optional[int]] = dict.fromkeys(residues)
+    missing = set(found)
+    per_segment = max(1, _SEGMENT_BYTES // step - 2)
     # the window of k ends at a + 2^n * (k + 1), which must stay below 2^64
-    last = min(limit, (TWO_64 - 1 - a) // step - 1)
-    end = a + step * (last + 1)
+    last = min(limit, (TWO_64 - 1 - max(found, default=0)) // step - 1)
+    end = step * (last + 2) - 1
+    lonely = bytes(step) + b"\1" + bytes(step)
     base = _TABLE
     k0 = 1
-    while k0 <= last:
+    while k0 <= last and missing:
         k1 = min(last, k0 + per_segment - 1)
-        lo, hi = a + step * (k0 - 1), a + step * (k1 + 1)
+        lo, hi = step * (k0 - 1), step * (k1 + 2) - 1
         if isqrt(hi) >= len(base):
             # base primes grow with the search, not its limit: up to the root of
             # a number 16 times further on (or of the end), a few sieves a search
             base = sieve(min(4 * isqrt(hi), isqrt(end)))
         table = _segment(lo, hi, base)
-        # the candidate k = k0 + j sits at table index step * (j + 1)
-        candidates = table[step : hi - lo : step]
-        j = candidates.find(1)
-        while j != -1:
-            i = step * (j + 1)
-            if table.find(1, i - step, i) == -1 and table.find(1, i + 1, i + step + 1) == -1:
-                return k0 + j
-            j = candidates.find(1, j + 1)
+        # a match at i puts p = lo + i + 2^n, with k = p // 2^n in [k0, k1]
+        i = table.find(lonely)
+        while i != -1:
+            k, a = divmod(lo + i + step, step)
+            if a in missing:
+                found[a] = k
+                missing.discard(a)
+                if not missing:
+                    break
+            i = table.find(lonely, i + 1)
         k0 = k1 + 1
-    if last < limit:
+    if missing and last < limit:
         raise UnsupportedError(
-            f"the window of {end} reaches 2^64; primality is not exact there"
+            f"the window of k = {last + 1} reaches 2^64; primality is not exact there"
         )
-    return None
+    return found
 
 
 def _segment(lo: int, hi: int, base: bytes) -> bytearray:

@@ -32,10 +32,15 @@ HALF = Fraction(1, 2)
 def bin_int(word: str) -> int:
     """Integer value of a binary word, least significant digit first."""
     # int() alone would also take signs, underscores, spaces and
-    # non-ASCII digits
-    if word.strip("01"):
-        raise StatelabError(f"not a binary word: {word!r}")
-    return int(word[::-1], 2) if word else 0
+    # non-ASCII digits; of the ASCII digits it refuses 2 to 9 itself
+    if word.isascii() and word.isdigit():
+        try:
+            return int(word[::-1], 2)
+        except ValueError:
+            pass
+    elif not word:
+        return 0
+    raise StatelabError(f"not a binary word: {word!r}")
 
 
 def bin_frac(word: str) -> Fraction:

@@ -257,17 +257,21 @@ def distinguish(
 
 def split_depth(
     L: LanguageOracle, words: Sequence[str], m_max: int, budget: int = DEFAULT_BUDGET
-) -> Tuple[int, int]:
+) -> Tuple[int, int, int]:
     """`distinguish` on every pair of `words` at once.
 
-    Returns (max_witness_length, undistinguished): the longest witness
-    `distinguish(L, u, v, m_max)` finds over all pairs of `words`, and
-    the number of pairs for which it finds none. Each word's signature
-    is its membership bitmask over the witnesses in canonical order,
-    grown one length at a time, so the witness of a pair is the lowest
-    set bit of sig_u ^ sig_v and its length is the level at which the
-    pair's signatures first differ. The search stops at the first level
-    that leaves every two distinct words apart. Every signature is then
+    Returns (max_witness_length, undistinguished, queries): the longest
+    witness `distinguish(L, u, v, m_max)` finds over all pairs of
+    `words`, the number of pairs for which it finds none, and the
+    membership queries this search asked. Each word's signature is its
+    membership bitmask over the witnesses in canonical order, grown one
+    length at a time, so the witness of a pair is the lowest set bit of
+    sig_u ^ sig_v and its length is the level at which the pair's
+    signatures first differ. A level asks only the words whose
+    signature is still shared with another word: a word apart from all
+    others stays apart, and two words that first differ at a level were
+    tied, and asked, up to it. The search stops at the first level that
+    leaves every two distinct words apart. Every asked bit is then
     queried once more, and any bit that changed raises, as the witness
     re-check in `distinguish` does. Before each level and before the
     re-check, the queries asked so far plus the ones that step asks are
@@ -276,35 +280,47 @@ def split_depth(
     _check_length(m_max)
     _guard_length(L, max(map(len, words), default=0) + m_max)
     member = L.membership
-    sigs = [0] * len(words)
+    distinct = list(dict.fromkeys(words))
+    sig = dict.fromkeys(distinct, 0)
+    # witnesses each word was asked: a prefix of `witnesses`
+    reach = dict.fromkeys(distinct, 0)
+    # groups of two or more distinct words that share a signature
+    tied = [distinct] if len(distinct) > 1 else []
     witnesses: List[str] = []
-    distinct = len(set(words))
-    classes = min(distinct, 1)
-    worst = 0
+    asked = worst = 0
     for length in range(m_max + 1):
-        if classes == distinct:
+        if not tied:
             break
-        shift = len(witnesses)
-        # every word is asked on every witness so far, then on this level
-        _guard(len(words) * (shift + len(L.alphabet.letters) ** length), budget)
         level = list(L.alphabet.words_of_length(length))
+        step = sum(map(len, tied)) * len(level)
+        _guard(asked + step, budget)
+        asked += step
+        shift = len(witnesses)
         witnesses += level
-        sigs = [sig | _mask(member, [u + w for w in level]) << shift
-                for u, sig in zip(words, sigs)]
-        split = len(set(sigs))
-        if split > classes:
-            classes, worst = split, length
-    # the re-check asks every signature again
-    _guard(2 * len(words) * len(witnesses), budget)
-    for u, sig in zip(words, sigs):
-        changed = sig ^ _mask(member, [u + w for w in witnesses])
+        still = []
+        for group in tied:
+            parts: Dict[int, List[str]] = {}
+            for u in group:
+                sig[u] |= _mask(member, [u + w for w in level]) << shift
+                reach[u] = len(witnesses)
+                parts.setdefault(sig[u], []).append(u)
+            if len(parts) > 1:
+                worst = length
+            still += [part for part in parts.values() if len(part) > 1]
+        tied = still
+    # the re-check asks every asked bit again
+    _guard(2 * asked, budget)
+    for u in distinct:
+        changed = sig[u] ^ _mask(member, [u + w for w in witnesses[:reach[u]]])
         if changed:
             w = witnesses[(changed & -changed).bit_length() - 1]
             raise StatelabError(
                 f"oracle {L.name!r} is not pure: witness {w!r} unstable for prefix {u!r}"
             )
-    undistinguished = sum(k * (k - 1) // 2 for k in Counter(sigs).values())
-    return worst, undistinguished
+    # words in different groups differ on the bits both were asked, so
+    # equal signatures are exactly the undistinguished pairs
+    undistinguished = sum(k * (k - 1) // 2 for k in Counter(sig[u] for u in words).values())
+    return worst, undistinguished, 2 * asked
 
 
 def _listed(spec: RowSpec, alpha: Alphabet) -> Tuple[int, int, Optional[List[str]]]:

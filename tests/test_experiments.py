@@ -140,15 +140,15 @@ def test_primes_linear_small_run_passes():
 def test_primes_linear_single_hit_needs_distinct_columns(monkeypatch):
     import statelab.experiments as exps
 
-    # over "01" at n = 2 the odd length-2 columns are "10" and "11", bits
-    # 5 and 6 of the order-2 profiles
+    # over "01" at n = 2 the table asks the odd length-2 columns "10" and
+    # "11", bits 0 and 1 of each profile; each fake breaks one condition
     tables = [
-        # both rows hit only "10"
-        SimpleNamespace(count=2, signatures=[1 << 5, 1 | 1 << 5]),
-        # the second row hits both "10" and "11"
-        SimpleNamespace(count=2, signatures=[1 << 6, 1 << 5 | 1 << 6]),
-        # both rows share one full profile, which hits "10" alone
-        SimpleNamespace(count=1, signatures=[1 << 5]),
+        # two profiles, but the second row hits no odd column
+        SimpleNamespace(count=2, signatures=[1 << 0, 0]),
+        # two profiles, but the second row hits both "10" and "11"
+        SimpleNamespace(count=2, signatures=[1 << 1, 1 << 0 | 1 << 1]),
+        # one hit each, but both rows share it ("10"), so one profile
+        SimpleNamespace(count=1, signatures=[1 << 0]),
     ]
     for table in tables:
         monkeypatch.setattr(exps, "query_table", lambda *args, **kwargs: table)
@@ -191,7 +191,7 @@ def test_primes_linear_budget_is_checked_before_any_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("isolated primes searched for over budget")
 
-    monkeypatch.setattr(exps, "find_isolated_prime", refuse)
+    monkeypatch.setattr(exps, "find_isolated_primes", refuse)
     with pytest.raises(BudgetExceeded) as exc:
         run_experiment("primes-linear", n=9, budget=1000)
     # query_table's own estimate: 2^(n-1) rows times 2^(n-1) odd length-n columns
@@ -272,23 +272,24 @@ def test_primes_hs_charges_each_search_exactly(monkeypatch, n, cap, member):
 def test_primes_linear_stops_at_the_first_residue_without_an_isolated_prime(monkeypatch):
     import statelab.experiments as exps
 
-    real = exps.find_isolated_prime
+    real = exps.find_isolated_primes
     calls = []
 
-    def none_for_residue_3(a, n_bits, limit):
-        calls.append((a, n_bits))
-        return None if a == 3 else real(a, n_bits, limit)
+    def none_for_residue_3(n_bits, limit):
+        calls.append(n_bits)
+        return {**real(n_bits, limit), 3: None}
 
-    monkeypatch.setattr(exps, "find_isolated_prime", none_for_residue_3)
+    monkeypatch.setattr(exps, "find_isolated_primes", none_for_residue_3)
     report = run_experiment("primes-linear", limit=10**6)
-    # the default ns are 2, 3, 4: residue 3 at n = 2 ends the search
-    assert calls == [(1, 2), (3, 2)]
+    # the default ns are 2, 3, 4: residue 3 at n = 2 ends the run, and the
+    # report keeps only the residues before it
+    assert calls == [2]
     assert report.verdict == "fail"
     assert report.measured == {"2": {"k_by_residue": {"1": 13}, "no_isolated_prime_for": 3}}
 
     calls.clear()
     assert run_experiment("primes-linear", n=3, limit=10**6).verdict == "fail"
-    assert calls == [(1, 3), (3, 3)]
+    assert calls == [3]
 
 
 def test_primes_hs_small_run_passes():

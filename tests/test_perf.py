@@ -13,7 +13,16 @@ import pytest
 
 pytest.importorskip("pytest_benchmark")
 
-from statelab import Atom, RowSpec, count_quotients, get_language, query_table  # noqa: E402
+from statelab import (  # noqa: E402
+    Alphabet,
+    Atom,
+    RowSpec,
+    count_quotients,
+    find_isolated_primes,
+    get_language,
+    query_table,
+    split_depth,
+)
 from statelab.experiments import _subset_rows  # noqa: E402
 
 ATOMS = 100_000
@@ -49,3 +58,17 @@ def test_query_table_of_the_exp_alt_rows_at_order_3(benchmark):
     l_exp = get_language("l-exp").oracle
     report = benchmark.pedantic(query_table, args=(l_exp, 3, rows), rounds=1, iterations=1)
     assert report.count == 256 and len(report.signatures) == 256
+
+
+def test_split_depth_of_the_odd_words_of_length_10(benchmark):
+    # the primes-hs search at its longest length under the benchmark, n = 10
+    primes = get_language("primes").oracle
+    words = [w for w in Alphabet("01").words_of_length(10) if w[0] == "1"]
+    result = benchmark.pedantic(split_depth, args=(primes, words, 24), rounds=1, iterations=1)
+    assert len(words) == 512 and result == (5, 0, 39_840)
+
+
+def test_find_isolated_primes_at_shift_5(benchmark):
+    # the primes-linear search under the benchmark, n = 5 and its default limit
+    found = benchmark.pedantic(find_isolated_primes, args=(5, 10**7), rounds=1, iterations=1)
+    assert len(found) == 16 and found[1] == 6366 and found[31] == 15165

@@ -2,7 +2,15 @@ from math import isqrt
 
 import pytest
 
-from statelab import StatelabError, UnsupportedError, find_isolated_prime, is_prime, primes, sieve
+from statelab import (
+    StatelabError,
+    UnsupportedError,
+    find_isolated_prime,
+    find_isolated_primes,
+    is_prime,
+    primes,
+    sieve,
+)
 
 
 def test_small_values():
@@ -118,11 +126,50 @@ def test_find_isolated_prime_input_validation():
 def test_find_isolated_prime_rejects_a_negative_shift():
     with pytest.raises(StatelabError, match="negative"):
         find_isolated_prime(1, -1, 5)
+    with pytest.raises(StatelabError, match="negative"):
+        find_isolated_primes(-1, 5)
 
 
 def test_find_isolated_prime_refuses_a_shift_above_sixteen():
     with pytest.raises(UnsupportedError):
         find_isolated_prime(1, 17, 5)
+    with pytest.raises(UnsupportedError):
+        find_isolated_primes(17, 5)
+
+
+def test_find_isolated_primes_has_no_residue_at_shift_zero():
+    # the only residue below 2^0 is 0, which is even
+    assert find_isolated_primes(0, 10) == {}
+
+
+@pytest.fixture(scope="module")
+def one_residue():
+    """find_isolated_prime on every odd residue, n = 1..8, three limits."""
+    return {
+        (n_bits, limit): {a: find_isolated_prime(a, n_bits, limit)
+                          for a in range(1, 1 << n_bits, 2)}
+        for n_bits in range(1, 9)
+        for limit in (1, 50, 10**4)
+    }
+
+
+@pytest.mark.parametrize("segment_bytes", [primes._SEGMENT_BYTES, 1 << 9])
+def test_find_isolated_primes_is_every_one_residue_search(monkeypatch, one_residue,
+                                                          segment_bytes):
+    monkeypatch.setattr(primes, "_SEGMENT_BYTES", segment_bytes)
+    for (n_bits, limit), want in one_residue.items():
+        shared = find_isolated_primes(n_bits, limit)
+        # the same residues in the same order, each with the same answer
+        assert list(shared.items()) == list(want.items()), (n_bits, limit)
+
+
+def test_find_isolated_primes_refuses_a_search_that_reaches_the_ceiling(monkeypatch):
+    # residue 1 is done at k = 13 and residue 3 at k = 52, whose window ends at 215
+    monkeypatch.setattr(primes, "TWO_64", 216)
+    assert find_isolated_primes(2, 10**6) == {1: 13, 3: 52}
+    monkeypatch.setattr(primes, "TWO_64", 215)
+    with pytest.raises(UnsupportedError):
+        find_isolated_primes(2, 10**6)
 
 
 def test_find_isolated_prime_takes_a_limit_far_past_the_answer():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,6 +14,7 @@ from statelab import (
     bin_frac,
     bin_int,
     dyadic_witness,
+    get_language,
     rabin_automaton,
     separate_quotients,
 )
@@ -69,6 +71,25 @@ def test_bin_int_matches_the_letter_loop_on_the_empty_and_a_long_word():
 def test_bin_int_rejects_everything_int_would_also_parse(word):
     with pytest.raises(StatelabError, match="not a binary word"):
         bin_int(word)
+
+
+@pytest.mark.parametrize("word", ["1_0", " 1", "1\n", "+1", "-1", "0b1", "2", "\uff11"])
+def test_bin_int_and_the_primes_oracle_refuse_a_non_binary_word(word):
+    # int(word, 2) parses every one of these but "2"
+    try:
+        int(word, 2)
+    except ValueError:
+        assert word == "2"
+    message = "^" + re.escape(f"not a binary word: {word!r}") + "$"
+    with pytest.raises(StatelabError, match=message):
+        bin_int(word)
+    with pytest.raises(StatelabError, match=message):
+        get_language("primes").oracle(word)
+
+
+def test_the_empty_word_is_zero_and_not_prime():
+    assert bin_int("") == 0
+    assert get_language("primes").oracle("") is False
 
 
 @settings(derandomize=True, max_examples=200)

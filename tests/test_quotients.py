@@ -1,5 +1,6 @@
 import json
-from itertools import combinations
+from collections import Counter
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -130,18 +131,25 @@ def odd_binary_words(length):
 def test_split_depth_equals_distinguish_on_every_pair(name, words, m_max):
     # caps 0 and 1 leave pairs undistinguished in every list of several words
     L = get_language(name).oracle
-    assert split_depth(L, words, m_max) == pairwise_split_depth(L, words, m_max)
+    counted, asked = _counting(L)
+    worst, undistinguished, queries = split_depth(counted, words, m_max)
+    assert (worst, undistinguished) == pairwise_split_depth(L, words, m_max)
+    assert queries == len(asked)
 
 
-def _counting_primes():
-    primes = get_language("primes").oracle
+def _counting(L):
+    """L with a membership that records every word it is asked."""
     asked = []
 
     def member(word):
         asked.append(word)
-        return primes(word)
+        return L(word)
 
-    return LanguageOracle(primes.name, primes.alphabet, member), asked
+    return LanguageOracle(L.name, L.alphabet, member), asked
+
+
+def _counting_primes():
+    return _counting(get_language("primes").oracle)
 
 
 def test_split_depth_refuses_a_negative_cap_before_any_query():
@@ -151,29 +159,43 @@ def test_split_depth_refuses_a_negative_cap_before_any_query():
     assert asked == []
 
 
+def test_split_depth_asks_only_words_that_are_still_tied():
+    words = odd_binary_words(8)
+    counted, asked = _counting_primes()
+    worst, undistinguished, queries = split_depth(counted, words, 24)
+    assert (worst, undistinguished) == (5, 0)
+    assert queries == len(asked) == 6_944
+    # growing every signature to the last split level asks each of the 128
+    # words on all 63 witnesses up to length 5, twice
+    assert 2 * len(words) * Alphabet("01").count_up_to(worst) == 16_128
+    # the re-check asks exactly the words the levels asked
+    first, again = asked[:queries // 2], asked[queries // 2:]
+    assert sorted(first) == sorted(again)
+
+
 def test_split_depth_checks_each_level_and_the_recheck_against_its_budget():
     words = odd_binary_words(6)
     counted, asked = _counting_primes()
-    worst, undistinguished = split_depth(counted, words, 8)
+    worst, undistinguished, queries = split_depth(counted, words, 8)
     assert undistinguished == 0
-    # levels 0..worst, each asked once and then once more by the re-check
-    levels = len(words) * (2 ** (worst + 1) - 1)
-    assert len(asked) == 2 * levels
+    # queries of each level, read off the words asked before the re-check,
+    # which asks all of them again
+    per_level = Counter(len(q) - 6 for q in asked[:queries // 2])
+    assert sorted(per_level) == list(range(worst + 1))
+    through = list(accumulate(per_level[length] for length in range(worst + 1)))
+    total = through[-1]
+    assert queries == len(asked) == 2 * total
     # budget -> (queries asked before the refusal, queries the refused step needed)
-    cases = {
-        2 * levels: None,
-        2 * levels - 1: (levels, 2 * levels),
-        levels: (levels, 2 * levels),
-        levels - 1: (levels - len(words) * 2 ** worst, levels),
-        len(words): (len(words), 3 * len(words)),
-        len(words) - 1: (0, len(words)),
-        0: (0, len(words)),
-    }
+    cases = {2 * total: None, 2 * total - 1: (total, 2 * total), total: (total, 2 * total)}
+    for length, upto in enumerate(through):
+        before = through[length - 1] if length else 0
+        # one query short of a level, or none of it, refuses that level
+        cases[upto - 1] = cases[before] = (before, upto)
     for budget, refused in cases.items():
         asked.clear()
         if refused is None:
-            assert split_depth(counted, words, 8, budget=budget) == (worst, 0)
-            assert len(asked) == 2 * levels
+            assert split_depth(counted, words, 8, budget=budget) == (worst, 0, queries)
+            assert len(asked) == queries
             continue
         with pytest.raises(BudgetExceeded) as exc:
             split_depth(counted, words, 8, budget=budget)
@@ -183,6 +205,23 @@ def test_split_depth_checks_each_level_and_the_recheck_against_its_budget():
 def test_split_depth_rechecks_every_signature():
     with pytest.raises(StatelabError, match="not pure"):
         split_depth(flaky_oracle(), ["0", "1"], 2)
+
+
+def test_split_depth_rechecks_a_bit_only_a_tied_word_was_asked():
+    # "0" is apart from "10" and "11" at level 0; those two stay tied and
+    # are split at level 1, where "110" answers False once, then True
+    stable = {"10", "11", "100", "111"}
+    calls = Counter()
+
+    def member(w):
+        calls[w] += 1
+        return w in stable or (w == "110" and calls[w] > 1)
+
+    L = LanguageOracle("flaky-tied", Alphabet("01"), member)
+    with pytest.raises(StatelabError, match="not pure: witness '0' unstable for prefix '11'"):
+        split_depth(L, ["0", "10", "11"], 3)
+    # the untied word was never asked on level 1
+    assert calls["00"] == calls["01"] == 0
 
 
 def test_budget_guard_reports_needed_and_given():
