@@ -43,6 +43,7 @@ from .prob import (
 from .profiler import BoundCheck, ComplexityProfile, check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
+    Budget,
     LanguageOracle,
     QueryTableReport,
     QuotientCountReport,
@@ -66,6 +67,7 @@ __all__ = [
     "And",
     "Atom",
     "BoundCheck",
+    "Budget",
     "BudgetExceeded",
     "ComplexityProfile",
     "DEFAULT_BUDGET",

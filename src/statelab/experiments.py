@@ -23,7 +23,7 @@ from .automata import (
     determinize_finite,
     game_tree_accepts,
 )
-from .errors import BudgetExceeded, StatelabError, UsageError
+from .errors import StatelabError, UsageError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
 from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
@@ -31,8 +31,8 @@ from .primes import find_isolated_primes
 from .profiler import check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
+    Budget,
     RowSpec,
-    _guard,
     canonical_json,
     count_quotients,
     from_automaton,
@@ -169,7 +169,7 @@ def _subset_table(spec, length: int, order: int, reverse_blocks: bool, budget: i
     columns the proof reads: "◊" * (order - length) + u for u in {0,1}^length,
     no padding when order == length. Its budget estimate, 2^(2^length) rows
     times 2^length columns, is checked before any row is built."""
-    _guard((1 << (1 << length)) * (1 << length), budget)
+    Budget(budget).charge((1 << (1 << length)) * (1 << length))
     pad = "◊" * (order - length)
     columns = [pad + u for u in Alphabet("01").words_of_length(length)]
     rows = _subset_rows(length, reverse_blocks)
@@ -237,34 +237,23 @@ def run_primes_hs(n: int = 8, cap: int = 24, budget: int = DEFAULT_BUDGET) -> Ex
     _need("primes-hs", "cap", cap, 0)
     spec = get_language("primes")
     # the sweep below asks at least every prefix of length <= n once
-    _guard(spec.alphabet.count_up_to(n), budget)
-    lengths = range(2, n + 1)
+    Budget(budget).charge(spec.alphabet.count_up_to(n))
     splits = {}
-    # each search and the sweep get what the earlier ones left of budget
-    asked = 0
-    try:
-        for length in lengths:
-            words = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
-            worst, undistinguished, queries = split_depth(
-                spec.oracle, words, cap, budget=budget - asked
-            )
-            splits[length] = worst, undistinguished
-            asked += queries
-        # witnesses up to a length's worst observed witness separate all its
-        # pairs, so counting with that bound certifies >= 2^(length-1)
-        # classes; one sweep to the longest of them holds every length's
-        # count: a class meets A^{<=length} iff its first member does, and
-        # the witnesses of length <= worst are the low bits of each signature
-        sweep = count_quotients(
-            spec.oracle, n, max(worst for worst, _ in splits.values()),
-            budget=budget - asked,
-        )
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(asked + exc.needed, budget) from None
+    # every search and the sweep charge one ledger, so a refusal counts the run
+    ledger = Budget(budget)
+    for length in range(2, n + 1):
+        words = [w for w in spec.alphabet.words_of_length(length) if w[0] == "1"]
+        splits[length] = split_depth(spec.oracle, words, cap, budget=ledger)
+    # witnesses up to a length's worst observed witness separate all its
+    # pairs, so counting with that bound certifies >= 2^(length-1)
+    # classes; one sweep to the longest of them holds every length's
+    # count: a class meets A^{<=length} iff its first member does, and
+    # the witnesses of length <= worst are the low bits of each signature
+    sweep = count_quotients(spec.oracle, n, max(worst for worst, _ in splits.values()),
+                            budget=ledger)
     measured = {}
     ok = True
-    for length in lengths:
-        worst, undistinguished = splits[length]
+    for length, (worst, undistinguished) in splits.items():
         mask = (1 << spec.alphabet.count_up_to(worst)) - 1
         classes = len({sig & mask for sig, rep in zip(sweep.signatures, sweep.representatives)
                        if len(rep) <= length})
@@ -330,7 +319,7 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
     # query_table's estimate, one row per odd residue and one column per
     # odd length-n word, is checked before any isolated prime is searched for
     for bits in ns:
-        _guard((1 << (bits - 1)) ** 2, budget)
+        Budget(budget).charge((1 << (bits - 1)) ** 2)
     measured = {}
     ok = True
     for bits in ns:

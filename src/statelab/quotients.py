@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, StatelabError, UnsupportedError
 from .words import Alphabet, _check_length, _mask
@@ -185,12 +185,27 @@ class QueryTableReport:
         )
 
 
-def _guard(queries: int, budget: int) -> None:
-    if queries > budget:
-        raise BudgetExceeded(queries, budget)
+@dataclass
+class Budget:
+    """A membership-query ledger: at most `limit` queries, `asked` so far.
+    Each search below charges it before each batch it asks (an int budget
+    is a fresh ledger), so searches sharing one are refused as one run."""
+
+    limit: int
+    asked: int = 0
+
+    @classmethod
+    def of(cls, budget: Union[int, "Budget"]) -> "Budget":
+        return budget if isinstance(budget, Budget) else cls(budget)
+
+    def charge(self, queries: int) -> None:
+        """Add `queries` to `asked`, or raise before any of them is asked."""
+        if self.asked + queries > self.limit:
+            raise BudgetExceeded(self.asked + queries, self.limit)
+        self.asked += queries
 
 
-def _guard_length(L: LanguageOracle, longest: int) -> None:
+def _check_reach(L: LanguageOracle, longest: int) -> None:
     if L.max_word_length is not None and longest > L.max_word_length:
         raise UnsupportedError(
             f"oracle {L.name!r} answers words of up to {L.max_word_length} "
@@ -202,18 +217,16 @@ def count_quotients(
     L: LanguageOracle,
     order: int,
     witness_bound: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: Union[int, Budget] = DEFAULT_BUDGET,
 ) -> QuotientCountReport:
     """Partition A^{<=order} by membership signatures over A^{<=witness_bound}.
 
     The class count is a lower bound on the number of distinct left
     quotients of order `order`, monotone in both parameters.
     """
-    if order < 0 or witness_bound < 0:
-        raise StatelabError("order and witness bound must be >= 0")
     alpha = L.alphabet
-    _guard(alpha.count_up_to(order) * alpha.count_up_to(witness_bound), budget)
-    _guard_length(L, order + witness_bound)
+    Budget.of(budget).charge(alpha.count_up_to(order) * alpha.count_up_to(witness_bound))
+    _check_reach(L, order + witness_bound)
     witnesses = list(alpha.words_up_to(witness_bound))
     member = L.membership
     classes: Dict[int, str] = {}
@@ -241,7 +254,7 @@ def distinguish(
     back rather than trusted from the search loop.
     """
     _check_length(m_max)
-    _guard_length(L, max(len(u), len(v)) + m_max)
+    _check_reach(L, max(len(u), len(v)) + m_max)
     if u == v:
         return None
     member = L.membership
@@ -256,15 +269,14 @@ def distinguish(
 
 
 def split_depth(
-    L: LanguageOracle, words: Sequence[str], m_max: int, budget: int = DEFAULT_BUDGET
-) -> Tuple[int, int, int]:
+    L: LanguageOracle, words: Sequence[str], m_max: int, budget: Union[int, Budget] = DEFAULT_BUDGET
+) -> Tuple[int, int]:
     """`distinguish` on every pair of `words` at once.
 
-    Returns (max_witness_length, undistinguished, queries): the longest
-    witness `distinguish(L, u, v, m_max)` finds over all pairs of
-    `words`, the number of pairs for which it finds none, and the
-    membership queries this search asked. Each word's signature is its
-    membership bitmask over the witnesses in canonical order, grown one
+    Returns (max_witness_length, undistinguished): the longest witness
+    `distinguish(L, u, v, m_max)` finds over all pairs of `words`, and
+    the number of pairs for which it finds none. Each word's signature is
+    its membership bitmask over the witnesses in canonical order, grown one
     length at a time, so the witness of a pair is the lowest set bit of
     sig_u ^ sig_v and its length is the level at which the pair's
     signatures first differ. A level asks only the words whose
@@ -273,12 +285,12 @@ def split_depth(
     tied, and asked, up to it. The search stops at the first level that
     leaves every two distinct words apart. Every asked bit is then
     queried once more, and any bit that changed raises, as the witness
-    re-check in `distinguish` does. Before each level and before the
-    re-check, the queries asked so far plus the ones that step asks are
-    checked against `budget`.
+    re-check in `distinguish` does. Each level and the re-check are
+    charged to `budget` before they ask.
     """
     _check_length(m_max)
-    _guard_length(L, max(map(len, words), default=0) + m_max)
+    _check_reach(L, max(map(len, words), default=0) + m_max)
+    ledger = Budget.of(budget)
     member = L.membership
     distinct = list(dict.fromkeys(words))
     sig = dict.fromkeys(distinct, 0)
@@ -287,14 +299,12 @@ def split_depth(
     # groups of two or more distinct words that share a signature
     tied = [distinct] if len(distinct) > 1 else []
     witnesses: List[str] = []
-    asked = worst = 0
+    worst = 0
     for length in range(m_max + 1):
         if not tied:
             break
         level = list(L.alphabet.words_of_length(length))
-        step = sum(map(len, tied)) * len(level)
-        _guard(asked + step, budget)
-        asked += step
+        ledger.charge(sum(map(len, tied)) * len(level))
         shift = len(witnesses)
         witnesses += level
         still = []
@@ -309,7 +319,7 @@ def split_depth(
             still += [part for part in parts.values() if len(part) > 1]
         tied = still
     # the re-check asks every asked bit again
-    _guard(2 * asked, budget)
+    ledger.charge(sum(reach.values()))
     for u in distinct:
         changed = sig[u] ^ _mask(member, [u + w for w in witnesses[:reach[u]]])
         if changed:
@@ -320,12 +330,12 @@ def split_depth(
     # words in different groups differ on the bits both were asked, so
     # equal signatures are exactly the undistinguished pairs
     undistinguished = sum(k * (k - 1) // 2 for k in Counter(sig[u] for u in words).values())
-    return worst, undistinguished, 2 * asked
+    return worst, undistinguished
 
 
 def _listed(spec: RowSpec, alpha: Alphabet) -> Tuple[int, int, Optional[List[str]]]:
     """(size, longest word, words) of a word set. An exhaustive set is
-    counted, not listed, so its words are None until a guard has passed."""
+    counted, not listed, so its words are None until the checks have passed."""
     if spec.kind == "exhaustive":
         return alpha.count_up_to(spec.max_length), spec.max_length, None
     words = spec.row_words(alpha)
@@ -336,7 +346,7 @@ def query_table(
     L: LanguageOracle,
     order: int,
     rows: RowSpec,
-    budget: int = DEFAULT_BUDGET,
+    budget: Union[int, Budget] = DEFAULT_BUDGET,
     include_profiles: bool = False,
     columns: Optional[RowSpec] = None,
 ) -> QueryTableReport:
@@ -348,18 +358,16 @@ def query_table(
     profiles, so the distinct profiles over any column set lower-bound
     the query table size of that order.
     """
-    if order < 0:
-        raise StatelabError("order must be >= 0")
     alpha = L.alphabet
     if columns is None:
         columns = RowSpec.exhaustive(order)
-    # the guards read counts, so no exhaustive set is listed before they pass
+    # the checks read counts, so no exhaustive set is listed before they pass
     row_count, longest, row_words = _listed(rows, alpha)
     column_count, widest, column_words = _listed(columns, alpha)
     if widest > order:
         raise StatelabError(f"a column of length {widest} is past order {order}")
-    _guard(row_count * column_count, budget)
-    _guard_length(L, widest + longest)
+    Budget.of(budget).charge(row_count * column_count)
+    _check_reach(L, widest + longest)
     row_words = row_words if row_words is not None else rows.row_words(alpha)
     column_words = column_words if column_words is not None else columns.row_words(alpha)
     member = L.membership

@@ -525,3 +525,15 @@ def test_eval_of_a_malformed_file_names_the_fault(tmp_path, capsys, line, replac
     code, out, err = run(capsys, "eval", str(path), "a")
     assert (code, out) == (2, "")
     assert f"{path}: " in err and message in err
+
+
+@pytest.mark.parametrize("n, budget, needed", [
+    # the sweep's least need, every prefix of length <= 11, is refused up front
+    ("11", "1000", 2 ** 12 - 1),
+    # a split search is refused mid-run, counting the queries asked before it
+    ("8", "600", 672),
+], ids=["before-the-first-query", "mid-search"])
+def test_primes_hs_budget_refusal_message(capsys, n, budget, needed):
+    code, out, err = run(capsys, "experiment", "primes-hs", "--n", n, "--budget", budget)
+    assert (code, out) == (1, "")
+    assert err == f"error: operation needs about {needed} membership queries, budget is {budget}\n"

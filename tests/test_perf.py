@@ -16,6 +16,7 @@ pytest.importorskip("pytest_benchmark")
 from statelab import (  # noqa: E402
     Alphabet,
     Atom,
+    Budget,
     RowSpec,
     count_quotients,
     find_isolated_primes,
@@ -64,8 +65,10 @@ def test_split_depth_of_the_odd_words_of_length_10(benchmark):
     # the primes-hs search at its longest length under the benchmark, n = 10
     primes = get_language("primes").oracle
     words = [w for w in Alphabet("01").words_of_length(10) if w[0] == "1"]
-    result = benchmark.pedantic(split_depth, args=(primes, words, 24), rounds=1, iterations=1)
-    assert len(words) == 512 and result == (5, 0, 39_840)
+    budget = Budget(10**8)
+    result = benchmark.pedantic(split_depth, args=(primes, words, 24, budget),
+                                rounds=1, iterations=1)
+    assert len(words) == 512 and result == (5, 0) and budget.asked == 39_840
 
 
 def test_find_isolated_primes_at_shift_5(benchmark):

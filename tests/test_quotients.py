@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from statelab import (
     Alphabet,
+    Budget,
     BudgetExceeded,
     LanguageOracle,
     RowSpec,
@@ -132,9 +133,9 @@ def test_split_depth_equals_distinguish_on_every_pair(name, words, m_max):
     # caps 0 and 1 leave pairs undistinguished in every list of several words
     L = get_language(name).oracle
     counted, asked = _counting(L)
-    worst, undistinguished, queries = split_depth(counted, words, m_max)
-    assert (worst, undistinguished) == pairwise_split_depth(L, words, m_max)
-    assert queries == len(asked)
+    ledger = Budget(10**8)
+    assert split_depth(counted, words, m_max, ledger) == pairwise_split_depth(L, words, m_max)
+    assert ledger.asked == len(asked)
 
 
 def _counting(L):
@@ -162,7 +163,9 @@ def test_split_depth_refuses_a_negative_cap_before_any_query():
 def test_split_depth_asks_only_words_that_are_still_tied():
     words = odd_binary_words(8)
     counted, asked = _counting_primes()
-    worst, undistinguished, queries = split_depth(counted, words, 24)
+    ledger = Budget(10**8)
+    worst, undistinguished = split_depth(counted, words, 24, ledger)
+    queries = ledger.asked
     assert (worst, undistinguished) == (5, 0)
     assert queries == len(asked) == 6_944
     # growing every signature to the last split level asks each of the 128
@@ -176,7 +179,9 @@ def test_split_depth_asks_only_words_that_are_still_tied():
 def test_split_depth_checks_each_level_and_the_recheck_against_its_budget():
     words = odd_binary_words(6)
     counted, asked = _counting_primes()
-    worst, undistinguished, queries = split_depth(counted, words, 8)
+    ledger = Budget(10**8)
+    worst, undistinguished = split_depth(counted, words, 8, ledger)
+    queries = ledger.asked
     assert undistinguished == 0
     # queries of each level, read off the words asked before the re-check,
     # which asks all of them again
@@ -194,12 +199,67 @@ def test_split_depth_checks_each_level_and_the_recheck_against_its_budget():
     for budget, refused in cases.items():
         asked.clear()
         if refused is None:
-            assert split_depth(counted, words, 8, budget=budget) == (worst, 0, queries)
-            assert len(asked) == queries
+            ledger = Budget(budget)
+            assert split_depth(counted, words, 8, budget=ledger) == (worst, 0)
+            assert len(asked) == ledger.asked == queries
             continue
         with pytest.raises(BudgetExceeded) as exc:
             split_depth(counted, words, 8, budget=budget)
         assert (len(asked), exc.value.needed, exc.value.budget) == (*refused, budget)
+
+
+def test_budget_charges_a_batch_or_refuses_it_whole():
+    ledger = Budget(10)
+    ledger.charge(4)
+    ledger.charge(6)
+    assert (ledger.limit, ledger.asked) == (10, 10)
+    ledger.charge(0)
+    with pytest.raises(BudgetExceeded) as exc:
+        ledger.charge(1)
+    # the refusal names what the whole ledger would need, and charges nothing
+    assert (exc.value.needed, exc.value.budget, ledger.asked) == (11, 10, 10)
+
+
+def test_searches_that_share_a_budget_are_refused_as_one_run():
+    words = odd_binary_words(6)
+    counted, asked = _counting_primes()
+    alpha = Alphabet("01")
+    searched = Budget(10**8)
+    split_depth(counted, words, 8, searched)
+    swept = alpha.count_up_to(6) * alpha.count_up_to(3)
+    run = searched.asked + swept
+    # the search and the sweep fit one ledger of the run's queries
+    asked.clear()
+    ledger = Budget(run)
+    split_depth(counted, words, 8, ledger)
+    count_quotients(counted, 6, 3, ledger)
+    assert len(asked) == ledger.asked == run
+    # one query less refuses the sweep, naming what the whole run needs
+    asked.clear()
+    ledger = Budget(run - 1)
+    split_depth(counted, words, 8, ledger)
+    with pytest.raises(BudgetExceeded) as exc:
+        count_quotients(counted, 6, 3, ledger)
+    assert (exc.value.needed, exc.value.budget) == (run, run - 1)
+    assert len(asked) == ledger.asked == searched.asked
+
+
+@pytest.mark.parametrize("search, message", [
+    (lambda L, b: count_quotients(L, -1, 2, b), "word length must be nonnegative, got -1"),
+    (lambda L, b: count_quotients(L, 2, -1, b), "word length must be nonnegative, got -1"),
+    (lambda L, b: query_table(L, -1, RowSpec.explicit(["1"]), b),
+     "row length must be >= 0, got -1"),
+    (lambda L, b: query_table(L, -1, RowSpec.explicit(["1"]), b,
+                              columns=RowSpec.explicit([""])),
+     "a column of length 0 is past order -1"),
+], ids=["count_quotients-order", "count_quotients-witness-bound",
+        "query_table-default-columns", "query_table-explicit-columns"])
+def test_negative_lengths_are_refused_before_any_query(search, message):
+    counted, asked = _counting_primes()
+    ledger = Budget(10**8)
+    with pytest.raises(StatelabError, match=message):
+        search(counted, ledger)
+    assert asked == [] and ledger.asked == 0
 
 
 def test_split_depth_rechecks_every_signature():
