@@ -29,9 +29,15 @@ ORs, Adam resolves ANDs, Eve wins iff the play ends accepting); the
 test suite checks that against an explicit unmemoized game-tree
 evaluation on small instances.
 
-delta() memoizes transitions for the routes that read them again. The
-reachable-state search expands each (state, letter) pair once, so it
-asks the transition function directly and leaves the memo alone. Most
+delta() memoizes transitions for the routes that read them again.
+backward_accepts also memoizes, per (q, a), the states delta(q, a)
+names, and builds its forward layers from them; its backward pass and
+game-tree play read the transition memo directly. The lattice tables
+are built once per automaton, by whichever of accepts() and
+determinize_finite() asks first.
+
+The reachable-state search expands each (state, letter) pair once, so
+it asks the transition function directly and leaves the memo alone. Most
 transitions of the lazy gallery automata are a single Atom, so the
 search takes such a result inline (one seen-set test, no atoms()
 generator), gives TRUE and FALSE no successors, and sends only And and
@@ -82,8 +88,9 @@ class AlternatingAutomaton:
     when given it declares the full (finite) state set, which is what
     enables determinization and serialization. Automata are immutable
     after construction; the only internal mutations are the transition
-    memo cache and the lattice tables compiled on the first accepts()
-    call, neither of which changes results.
+    memo cache, the successor memo of backward_accepts and the lattice
+    tables built on the first accepts() or determinize_finite() call,
+    none of which changes results.
     """
 
     def __init__(
@@ -110,9 +117,12 @@ class AlternatingAutomaton:
             self._accepting_fn = lambda q: q in acc
         self.states = list(states) if states is not None else None
         self._cache: dict = {}
+        # (q, a) -> the states delta(q, a) names, for backward_accepts
+        self._successors: dict = {}
         self._fold_pending = (self.states is not None
                               and len(self.states) <= FOLD_STATE_LIMIT)
         self._fold: Optional[tuple] = None
+        self._tables: Optional[tuple] = None
 
     def __repr__(self) -> str:
         return f"<AlternatingAutomaton {self.name!r} over {self.alphabet.letters!r}>"
@@ -260,62 +270,80 @@ def _holding(row: list, index: Mapping, X: int) -> int:
 def backward_accepts(A: AlternatingAutomaton, word: str) -> bool:
     """Membership via the memoized backward value recursion."""
     A.alphabet.check_word(word)
-    delta = A.delta
-    # Forward pass: which states can matter at each position. A bare Atom
-    # is taken inline, as in _search; only And and Or go through atoms().
+    # Forward pass: which states can matter at each position. The states
+    # each (q, a) names are memoized once delta(q, a) has returned, so a
+    # fault raises at the same pair, in the same order, on every call.
+    successors = A._successors
     layers = [{A.initial}]
     for ch in word:
         nxt = set()
         for q in layers[-1]:
-            f = delta(q, ch)
-            if type(f) is Atom:
-                nxt.add(f.state)
-            elif f is not TRUE and f is not FALSE:
-                nxt.update(atoms(f))
+            named = successors.get((q, ch))
+            if named is None:
+                f = A.delta(q, ch)
+                named = successors[q, ch] = (f.state,) if type(f) is Atom else tuple(atoms(f))
+            nxt.update(named)
         layers.append(nxt)
-    # Backward pass: value(q, i) for exactly those states.
+    # Backward pass: value(q, i) for exactly those states, whose
+    # transitions the forward pass has memoized.
+    memo = A._cache
     val = {q: A.state_accepting(q) for q in layers[-1]}
     for i in range(len(word) - 1, -1, -1):
         ch = word[i]
         lookup = val.__getitem__
-        val = {q: evaluate(delta(q, ch), lookup) for q in layers[i]}
+        nxt = {}
+        for q in layers[i]:
+            f = memo[q, ch]
+            if type(f) is Atom:
+                nxt[q] = val[f.state]
+            elif f is TRUE or f is FALSE:
+                nxt[q] = f is TRUE
+            else:
+                nxt[q] = evaluate(f, lookup)
+        val = nxt
     return val[A.initial]
 
 
 def game_tree_accepts(A: AlternatingAutomaton, word: str) -> bool:
-    """Explicit min/max play of the acceptance game, no memoization.
+    """Explicit min/max play of the acceptance game; no position is memoized.
 
     Exponential; exists purely as an independent cross-check for
-    accepts() on small automata and short words.
+    accepts() on small automata and short words. formula(f, i) plays
+    delta(q, word[i]) for some q; an atom moves to the next position.
     """
     A.alphabet.check_word(word)
-    n = len(word)
-
-    def position(q: State, i: int) -> bool:
-        if i == n:
-            return A.state_accepting(q)
-        return formula(A.delta(q, word[i]), i)
+    if not word:
+        return A.state_accepting(A.initial)
+    accepting, memo, delta = A._accepting_fn, A._cache, A.delta
+    last = len(word) - 1
 
     def formula(f: Formula, i: int) -> bool:
-        if f is TRUE:
-            return True
-        if f is FALSE:
-            return False
-        if isinstance(f, Atom):
-            return position(f.state, i + 1)
-        if isinstance(f, And):
+        t = type(f)
+        if t is Atom:
+            q = f.state
+            if i == last:
+                return bool(accepting(q))
+            i += 1
+            a = word[i]
+            g = memo.get((q, a))
+            if g is None:
+                g = delta(q, a)
+            return formula(g, i)
+        if t is And:
             for c in f.children:
                 if not formula(c, i):
                     return False
             return True
-        if isinstance(f, Or):
+        if t is Or:
             for c in f.children:
                 if formula(c, i):
                     return True
             return False
+        if f is TRUE or f is FALSE:
+            return f is TRUE
         raise StatelabError(f"not a formula: {f!r}")
 
-    return position(A.initial, 0)
+    return formula(delta(A.initial, word[0]), 0)
 
 
 def _lattice(A: AlternatingAutomaton) -> tuple:
@@ -327,8 +355,11 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     states and `initial` the 2^|Q|-bit set of the subsets that hold the
     initial state. Each formula is evaluated on all 2^|Q| subsets at
     once, as the 2^|Q|-bit set of the subsets that satisfy it, so every
-    atom is checked against the declared states.
+    atom is checked against the declared states. The tables are built
+    once and kept on A; a build that raises keeps nothing.
     """
+    if A._tables is not None:
+        return A._tables
     states = A.states
     index = {q: i for i, q in enumerate(states)}
     if A.initial not in index:
@@ -357,8 +388,8 @@ def _lattice(A: AlternatingAutomaton) -> tuple:
     for a in A.alphabet:
         rows = [satisfying(A.delta(q, a)) for q in states]
         sat[a] = [_mask(lambda row: row >> X & 1, rows) for X in range(nsub)]
-    accepting = _mask(A.state_accepting, states)
-    return sat, accepting, containing[index[A.initial]]
+    A._tables = sat, _mask(A.state_accepting, states), containing[index[A.initial]]
+    return A._tables
 
 
 def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:

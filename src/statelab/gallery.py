@@ -421,10 +421,11 @@ def names() -> list:
 def hierarchy_exponent(name: str) -> int:
     """The exponent l >= 2 of a '<prefix>:<l>' name: 'l-hier:3', 'hierarchy:3'."""
     suffix = name.split(":", 1)[1]
-    try:
-        power = int(suffix)
-    except ValueError:
-        raise StatelabError(f"bad hierarchy exponent {suffix!r}") from None
+    # int() alone would also take signs, underscores, spaces and
+    # non-ASCII digits
+    if not (suffix.isascii() and suffix.isdigit()):
+        raise StatelabError(f"bad hierarchy exponent {suffix!r}")
+    power = int(suffix)
     if power < 2:
         raise StatelabError(f"{name!r}: the hierarchy needs an exponent >= 2")
     return power

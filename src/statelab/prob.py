@@ -52,8 +52,10 @@ class ProbAutomaton:
     """Finite stochastic machine: per-letter row-stochastic matrices.
 
     trans maps (state, letter) to {target: probability}; omitted targets
-    are probability 0. Rows must sum to exactly 1 (validate_stochastic
-    reports violations; the interchange loader enforces it).
+    are probability 0. Every weight is an int or a Fraction; any other
+    is refused at construction. Rows must sum to exactly 1
+    (validate_stochastic reports violations; the interchange loader
+    enforces it).
     """
 
     def __init__(
@@ -88,6 +90,10 @@ class ProbAutomaton:
             if a not in self._rows:
                 raise StatelabError(f"row ({q!r}, {a!r}) reads a letter outside "
                                     f"alphabet {self.alphabet.letters!r}")
+            for t, p in row.items():
+                if not isinstance(p, (int, Fraction)):
+                    raise StatelabError(f"row ({q!r}, {a!r}) gives {t!r} the inexact "
+                                        f"weight {p!r}; weights are int or Fraction")
             self._rows[a][q] = [(t, p) for t, p in row.items() if p != 0]
 
     def __repr__(self) -> str:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,55 @@ def test_atom_outside_the_declared_states_raises_only_where_the_run_reaches_it()
     assert m.accepts("ba")
     with pytest.raises(StatelabError, match=r"no transition declared for \(7, 'a'\)"):
         m.accepts("aa")
+
+
+def _run_closure(table, initial, word):
+    """The pairs (q, word[i]) for every state q of layer i of word's run,
+    layer 0 being {initial} and layer i + 1 the atoms of layer i's formulas."""
+    layer, pairs = {initial}, set()
+    for a in word:
+        pairs |= {(q, a) for q in layer}
+        layer = {p for q in layer for p in atoms(table[(q, a)])}
+    return pairs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.data())
+def test_backward_route_asks_and_faults_on_exactly_the_run_closure(seed, data):
+    base = random_automaton(random.Random(seed))
+    full = {(q, a): base.delta(q, a) for q in base.states for a in "ab"}
+    deleted = data.draw(st.sampled_from(sorted(full)), label="deleted")
+    table = {key: f for key, f in full.items() if key != deleted}
+    accepting = {q for q in base.states if base.state_accepting(q)}
+    word = data.draw(st.text("ab", max_size=6), label="word")
+    closure = _run_closure(full, 0, word)
+    expected = game_tree_accepts(AlternatingAutomaton("ab", 0, full, accepting), word)
+    warm_words = data.draw(st.lists(st.text("ab", max_size=6), max_size=4), label="warm")
+    for warm in ([], warm_words):
+        asked = []
+
+        def delta(q, a):
+            asked.append((q, a))
+            return automata._table_lookup(table, q, a)
+
+        m = AlternatingAutomaton("ab", 0, delta, accepting, states=base.states)
+        for w in warm:
+            try:
+                backward_accepts(m, w)
+            except StatelabError:
+                pass
+        # every pair asked and answered is memoized; the deleted one never is
+        memoized = set(asked) - {deleted}
+        asked.clear()
+        if deleted in closure:
+            with pytest.raises(StatelabError, match=re.escape(
+                    f"no transition declared for {deleted!r}")):
+                backward_accepts(m, word)
+            assert deleted in asked
+            assert sorted(asked) == sorted(set(asked)) and set(asked) <= closure
+        else:
+            assert backward_accepts(m, word) == expected
+            assert sorted(asked) == sorted(closure - memoized)
 
 
 def test_determinize_refuses_too_many_states_before_any_transition():

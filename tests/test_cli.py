@@ -408,7 +408,7 @@ def test_experiment_size_out_of_range_is_usage_error(capsys, argv):
 
 
 def test_experiment_bad_hierarchy_exponent_is_a_checked_failure(capsys):
-    for exp_id in ("hierarchy:x", "hierarchy:1"):
+    for exp_id in ("hierarchy:x", "hierarchy:1", "hierarchy:\u0662"):
         code, _, err = run(capsys, "experiment", exp_id)
         assert code == 1
         assert "exponent" in err

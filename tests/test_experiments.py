@@ -20,6 +20,7 @@ from statelab.experiments import (
     _lsb_word,
     _runner_overrides,
     _subset_rows,
+    _window_composite_by_trial_division,
     random_automaton,
     run_core_crosscheck,
 )
@@ -110,6 +111,19 @@ def test_rabin_claim_small_run_passes():
     assert report.parameters == {"n": 3}
     assert report.measured["orders"]["3"]["pairs"] == 28
     assert report.measured["orders"]["3"]["distinct_quotients"] == 8
+
+
+def test_rabin_claim_fails_when_a_separator_splits_nothing(monkeypatch):
+    import statelab.experiments as exps
+
+    # after '#' the rabin machine has no mass left in its accepting state
+    monkeypatch.setattr(exps, "separate_quotients", lambda u, v: "#")
+    report = run_experiment("rabin-claim", n=2)
+    assert report.measured["orders"] == {
+        "1": {"pairs": 1, "separated": 0, "distinct_quotients": 0},
+        "2": {"pairs": 6, "separated": 0, "distinct_quotients": 0},
+    }
+    assert report.verdict == "fail"
 
 
 def test_exp_alt_small_run_passes():
@@ -461,6 +475,39 @@ def test_core_crosscheck_catches_a_broken_lattice_oracle(monkeypatch, broken):
     assert report.measured["lattice_failures"] > 0
     assert report.measured["agreement_failures"] == 0
     assert report.verdict == "fail"
+
+
+@pytest.mark.parametrize("route", ["backward_accepts", "game_tree_accepts"])
+def test_core_crosscheck_counts_a_route_that_flips_one_word(monkeypatch, route):
+    import statelab.experiments as exps
+
+    real = getattr(exps, route)
+    monkeypatch.setattr(exps, route, lambda A, w: real(A, w) != (w == "ab"))
+    report = run_core_crosscheck(seed=0, count=10, word_bound=3, mono_pairs=1)
+    # every automaton disagrees on "ab" and is counted once
+    assert report.measured == {"agreement_failures": 10, "lattice_failures": 0,
+                               "monotonicity_failures": 0}
+    assert report.verdict == "fail"
+
+
+def test_core_crosscheck_catches_an_evaluator_that_is_not_monotone(monkeypatch):
+    import statelab.experiments as exps
+
+    real = exps.evaluate
+    monkeypatch.setattr(exps, "evaluate", lambda f, truth: not real(f, truth))
+    report = run_core_crosscheck(seed=0, count=2, word_bound=2, mono_pairs=200)
+    assert report.measured["monotonicity_failures"] >= 1
+    assert report.measured["agreement_failures"] == report.measured["lattice_failures"] == 0
+    assert report.verdict == "fail"
+
+
+def test_isolation_recheck_by_trial_division():
+    # 23 is the only prime in [20, 26]; [19, 27] also holds 19
+    assert _window_composite_by_trial_division(23, 3)
+    assert not _window_composite_by_trial_division(23, 4)
+    assert not _window_composite_by_trial_division(2, 1)
+    for composite in (0, 1, 4, 15, 25):
+        assert not _window_composite_by_trial_division(composite, 1)
 
 
 def test_random_automata_have_bounded_shape():

@@ -120,7 +120,8 @@ def test_hierarchy_oracle_matches_the_restated_language_up_to_length_7(power):
 def test_hierarchy_exponent_is_parsed_in_one_place():
     assert hierarchy_exponent("l-hier:3") == 3
     assert hierarchy_exponent("hierarchy:2") == 2
-    for bad in ("l-hier:x", "l-hier:1", "l-hier:", "hierarchy:0"):
+    for bad in ("l-hier:x", "l-hier:1", "l-hier:", "hierarchy:0", "l-hier: 3",
+                "l-hier:+3", "l-hier:1_0", "l-hier:\u0663", "hierarchy:2 "):
         with pytest.raises(StatelabError, match="exponent"):
             hierarchy_exponent(bad)
     with pytest.raises(StatelabError, match="exponent >= 2"):

@@ -9,6 +9,8 @@ which adds one run to `.benchmarks/`; `--benchmark-compare` sets a later
 run against the last one saved.
 """
 
+import random
+
 import pytest
 
 pytest.importorskip("pytest_benchmark")
@@ -18,13 +20,15 @@ from statelab import (  # noqa: E402
     Atom,
     Budget,
     RowSpec,
+    backward_accepts,
     count_quotients,
     find_isolated_primes,
+    game_tree_accepts,
     get_language,
     query_table,
     split_depth,
 )
-from statelab.experiments import _subset_rows  # noqa: E402
+from statelab.experiments import _subset_rows, random_automaton  # noqa: E402
 
 ATOMS = 100_000
 
@@ -75,3 +79,17 @@ def test_find_isolated_primes_at_shift_5(benchmark):
     # the primes-linear search under the benchmark, n = 5 and its default limit
     found = benchmark.pedantic(find_isolated_primes, args=(5, 10**7), rounds=1, iterations=1)
     assert len(found) == 16 and found[1] == 6366 and found[31] == 15165
+
+
+def _both_routes(automata, words):
+    return [(backward_accepts(A, w), game_tree_accepts(A, w)) for A in automata for w in words]
+
+
+def test_backward_and_game_tree_routes_on_300_random_automata(benchmark):
+    # the two per-word routes of core-crosscheck, from empty memos
+    rng = random.Random(0)
+    automata = [random_automaton(rng) for _ in range(300)]
+    words = list(Alphabet("ab").words_up_to(5))
+    answers = benchmark.pedantic(_both_routes, args=(automata, words), rounds=1, iterations=1)
+    assert len(answers) == 300 * 63
+    assert all(b == g for b, g in answers) and sum(b for b, _ in answers) == 10_112

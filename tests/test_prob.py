@@ -1,4 +1,5 @@
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -176,6 +177,36 @@ def test_rows_and_accepting_states_outside_the_state_list_are_refused():
     with pytest.raises(StatelabError, match="row source 'z'"):
         ProbAutomaton("01", ["q"], "q", {**rows, ("z", "0"): {"q": 1}}, ["ghost"])
     assert ProbAutomaton("01", ["q"], "q", rows, ["q"]).validate_stochastic() == []
+
+
+@pytest.mark.parametrize("weight", [0.5, Decimal("0.5"), "1/2", None],
+                         ids=["float", "decimal", "str", "none"])
+def test_a_weight_that_is_not_an_int_or_a_fraction_is_refused(weight):
+    rows = {("q", "0"): {"q": 1}, ("q", "1"): {"q": weight, "r": Fraction(1, 2)}}
+    with pytest.raises(StatelabError, match=r"row \('q', '1'\) gives 'q' the inexact weight"):
+        ProbAutomaton("01", ["q", "r"], "q", rows, ["q"])
+
+
+def test_an_initial_state_outside_the_state_list_is_refused():
+    with pytest.raises(StatelabError, match="initial state 'z' not in state list"):
+        ProbAutomaton("01", ["q"], "z", {("q", "0"): {"q": 1}}, [])
+
+
+def test_a_weight_outside_the_unit_interval_is_flagged():
+    rows = {("q", "0"): {"q": Fraction(3, 2), "r": Fraction(-1, 2)},
+            ("q", "1"): {"q": 1}, ("r", "0"): {"r": 1}, ("r", "1"): {"r": 1}}
+    problems = ProbAutomaton("01", ["q", "r"], "q", rows, []).validate_stochastic()
+    assert problems == ["('q', '0') -> 'q' has weight 3/2",
+                        "('q', '0') -> 'r' has weight -1/2"]
+
+
+def test_distribution_names_the_missing_row_it_reaches():
+    m = ProbAutomaton("01", ["q", "r"], "q", {("q", "0"): {"r": 1}, ("r", "1"): {"r": 1}}, [])
+    assert m.distribution("01") == {"r": 1}
+    with pytest.raises(StatelabError, match=r"missing row \('r', '0'\)"):
+        m.distribution("00")
+    with pytest.raises(StatelabError, match=r"missing row \('q', '1'\)"):
+        m.distribution("1")
 
 
 def test_dyadic_witness_anchors():
