@@ -48,7 +48,7 @@ check and atoms().
 from __future__ import annotations
 
 from collections import deque
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
 
@@ -105,16 +105,9 @@ class AlternatingAutomaton:
         self.alphabet = alphabet if isinstance(alphabet, Alphabet) else Alphabet(alphabet)
         self.initial = initial
         self.name = name
-        if callable(delta):
-            self._delta_fn = delta
-        else:
-            table = dict(delta)
-            self._delta_fn = lambda q, a: _table_lookup(table, q, a)
-        if callable(accepting):
-            self._accepting_fn = accepting
-        else:
-            acc = frozenset(accepting)
-            self._accepting_fn = lambda q: q in acc
+        # a declared table or set keeps the automaton picklable
+        self._delta_fn = delta if callable(delta) else partial(_table_lookup, dict(delta))
+        self._accepting_fn = accepting if callable(accepting) else frozenset(accepting).__contains__
         self.states = list(states) if states is not None else None
         self._cache: dict = {}
         # (q, a) -> the states delta(q, a) names, for backward_accepts
@@ -440,7 +433,7 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
         alphabet=A.alphabet,
         initial=g0,
         delta=trans,
-        accepting=lambda g: bool((g >> f_mask) & 1),
+        accepting={g for g in discovered if g >> f_mask & 1},
         states=discovered,
         name=f"det({A.name})",
     )

@@ -18,14 +18,14 @@ from .experiments import REGISTRY_ORDER, run_all, run_experiment
 from .gallery import get_language, names
 from .interchange import load_automaton, load_prob_automaton
 from .prob import separate_quotients
-from .profiler import bound_function, check_bound, profile
+from .profiler import CheckedProfile, bound_function, check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
     RowSpec,
-    canonical_json,
     count_quotients,
     from_automaton,
     query_table,
+    render,
 )
 
 
@@ -74,14 +74,6 @@ def _check_word(alphabet, word: str) -> None:
         raise UsageError(str(exc)) from exc
 
 
-def _render(report, fmt: str) -> str:
-    if fmt == "json":
-        return report.to_json()
-    if fmt == "csv":
-        return report.to_csv()
-    return report.to_text()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -104,32 +96,18 @@ def cmd_profile(args) -> int:
     if bound_class is None and constant is not None:
         raise UsageError(f"--constant needs a ceiling: {args.ref!r} declares none, "
                          "so give --bound-class")
-    prof = profile(automaton, args.depth)
-    if bound_class is None:
-        _emit(_render(prof, args.format), args.out)
-        return 0
-    check = check_bound(prof, bound_class, 1 if constant is None else constant)
-    if args.format == "json":
-        text = canonical_json(
-            {"automaton": prof.name, "profile": prof.counts, "bound": check.payload()}
-        )
-    elif args.format == "csv":
-        lines = ["n,count,within_bound"]
-        lines.extend(
-            f"{n},{c},{'true' if ok else 'false'}"
-            for (n, c), ok in zip(prof.pairs(), check.verdicts)
-        )
-        text = "\n".join(lines)
-    else:
-        text = prof.to_text() + "\n" + check.to_text()
-    _emit(text, args.out)
-    return 0 if check.passed else 1
+    report = profile(automaton, args.depth)
+    if bound_class is not None:
+        check = check_bound(report, bound_class, 1 if constant is None else constant)
+        report = CheckedProfile(report, check)
+    _emit(render([report], args.format), args.out)
+    return 0 if bound_class is None or report.check.passed else 1
 
 
 def cmd_quotients(args) -> int:
     oracle = _oracle(args.ref)
     report = count_quotients(oracle, args.order, args.witness, budget=args.budget)
-    _emit(_render(report, args.format), args.out)
+    _emit(render([report], args.format), args.out)
     return 0
 
 
@@ -147,7 +125,7 @@ def cmd_query_table(args) -> int:
         oracle, args.order, spec,
         budget=args.budget, include_profiles=args.profiles,
     )
-    _emit(_render(report, args.format), args.out)
+    _emit(render([report], args.format), args.out)
     return 0
 
 
@@ -174,7 +152,6 @@ def cmd_experiment(args) -> int:
         return 0
     if args.id is None:
         raise UsageError("need an experiment id, 'all', or --list")
-    fmt = args.format
     if args.id == "all":
         for flag in ("n", "limit", "count"):
             if getattr(args, flag) is not None:
@@ -189,15 +166,7 @@ def cmd_experiment(args) -> int:
             "count": args.count,
         }
         reports = [run_experiment(args.id, **overrides)]
-    if fmt == "json":
-        text = "\n".join(r.canonical_json() for r in reports)
-    elif fmt == "csv":
-        lines = ["experiment,verdict"]
-        lines += [f"{r.experiment},{r.verdict}" for r in reports]
-        text = "\n".join(lines)
-    else:
-        text = "\n\n".join(r.to_text() for r in reports)
-    _emit(text, args.out)
+    _emit(render(reports, args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -13,7 +13,7 @@ import inspect
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Dict, List, Optional
 
@@ -32,8 +32,8 @@ from .profiler import check_bound, profile
 from .quotients import (
     DEFAULT_BUDGET,
     Budget,
+    Report,
     RowSpec,
-    canonical_json,
     count_quotients,
     from_automaton,
     oracle_intersection,
@@ -46,30 +46,23 @@ from .words import Alphabet
 
 
 @dataclass
-class ExperimentReport:
+class ExperimentReport(Report):
     experiment: str
     claim: str
     parameters: dict
     measured: dict
     bound: str
     verdict: str  # "pass" | "fail"
-    duration_seconds: float = 0.0
+    duration_seconds: float = field(default=0.0, repr=False)
+
+    CSV_HEADER = "experiment,verdict"
 
     @property
     def passed(self) -> bool:
         return self.verdict == "pass"
 
-    def canonical_json(self) -> str:
-        return canonical_json(
-            {
-                "experiment": self.experiment,
-                "claim": self.claim,
-                "parameters": self.parameters,
-                "measured": self.measured,
-                "bound": self.bound,
-                "verdict": self.verdict,
-            }
-        )
+    def csv_rows(self) -> List[str]:
+        return [f"{self.experiment},{self.verdict}"]
 
     def to_text(self) -> str:
         lines = [
@@ -374,22 +367,22 @@ def run_primes_linear(n: Optional[int] = None, limit: int = 10**7,
 # ---------------------------------------------------------------------------
 # gallery-equiv
 
-_EQUIV_LANGS = ("count-eq3", "not-eq", "lex", "l-hier:2", "maj2")
-_PROFILE_DEPTHS = {"count-eq3": 40, "not-eq": 40, "lex": 40, "maj2": 40, "l-hier:2": 30}
+# each language with its profile depth, in the report's order
+_EQUIV_LANGS = {"count-eq3": 40, "not-eq": 40, "lex": 40, "l-hier:2": 30, "maj2": 40}
 
 
 def run_gallery_equiv() -> ExperimentReport:
     """Oracle agreement plus declared profile ceilings for every gallery automaton."""
     measured = {}
     ok = True
-    for name in _EQUIV_LANGS:
+    for name, depth in _EQUIV_LANGS.items():
         spec = get_language(name)
         words = spec.alphabet.words_up_to(spec.validation_bound)
         accepted = spec.automaton.accepts_up_to(spec.validation_bound)
         member = spec.oracle.membership
         mismatches = sum(a != member(w) for w, a in zip(words, accepted, strict=True))
         entry = {"validation_bound": spec.validation_bound, "mismatches": mismatches}
-        prof = profile(spec.automaton, _PROFILE_DEPTHS[name])
+        prof = profile(spec.automaton, depth)
         if spec.declared_class is not None:
             cls, constant = spec.declared_class
             check = check_bound(prof, cls, constant)

@@ -14,7 +14,7 @@ from typing import Callable, List
 
 from .automata import AlternatingAutomaton
 from .errors import StatelabError
-from .quotients import canonical_json
+from .quotients import Report
 
 BOUND_CLASSES = ("const", "n", "n^<k>", "2^n")
 
@@ -28,10 +28,10 @@ def bound_function(name: str) -> Callable[[int], int]:
     if name == "2^n":
         return lambda n: 1 << n
     if name.startswith("n^"):
-        try:
-            k = int(name[2:])
-        except ValueError:
-            raise StatelabError(f"bad bound class {name!r}") from None
+        # int() alone would also take signs, underscores, spaces and non-ASCII digits
+        if not (name[2:].isascii() and name[2:].isdigit()):
+            raise StatelabError(f"bad bound class {name!r}")
+        k = int(name[2:])
         if k < 1:
             raise StatelabError(f"bad bound exponent in {name!r}")
         return lambda n: max(n**k, 1)
@@ -41,20 +41,20 @@ def bound_function(name: str) -> Callable[[int], int]:
 
 
 @dataclass
-class ComplexityProfile:
+class ComplexityProfile(Report):
     name: str
     counts: List[int]  # counts[n] = |reachable(n)|
+
+    CSV_HEADER = "n,count"
 
     def pairs(self) -> List[tuple]:
         return list(enumerate(self.counts))
 
-    def to_json(self) -> str:
-        return canonical_json({"automaton": self.name, "counts": self.counts})
+    def payload(self) -> dict:
+        return {"automaton": self.name, "counts": self.counts}
 
-    def to_csv(self) -> str:
-        lines = ["n,count"]
-        lines.extend(f"{n},{c}" for n, c in self.pairs())
-        return "\n".join(lines)
+    def csv_rows(self) -> List[str]:
+        return [f"{n},{c}" for n, c in self.pairs()]
 
     def to_text(self) -> str:
         width = len(str(len(self.counts) - 1))
@@ -64,11 +64,13 @@ class ComplexityProfile:
 
 
 @dataclass
-class BoundCheck:
+class BoundCheck(Report):
     class_name: str
     constant: int
     verdicts: List[bool]  # verdicts[n]: counts[n] <= C * f(n)
     max_ratio: Fraction  # worst counts[n] / max(f(n), 1)
+
+    CSV_HEADER = "n,within_bound"
 
     @property
     def passed(self) -> bool:
@@ -83,8 +85,8 @@ class BoundCheck:
             "failures": [n for n, ok in enumerate(self.verdicts) if not ok],
         }
 
-    def to_json(self) -> str:
-        return canonical_json(self.payload())
+    def csv_rows(self) -> List[str]:
+        return [f"{n},{str(ok).lower()}" for n, ok in enumerate(self.verdicts)]
 
     def to_text(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -92,6 +94,27 @@ class BoundCheck:
             f"bound {self.constant}*{self.class_name}: {status} "
             f"(max ratio {self.max_ratio} ~ {float(self.max_ratio):.2f})"
         )
+
+
+@dataclass
+class CheckedProfile(Report):
+    """A profile with the bound check of its counts."""
+
+    profile: ComplexityProfile
+    check: BoundCheck
+
+    CSV_HEADER = "n,count,within_bound"
+
+    def payload(self) -> dict:
+        return {"automaton": self.profile.name, "profile": self.profile.counts,
+                "bound": self.check.payload()}
+
+    def csv_rows(self) -> List[str]:
+        return [f"{n},{c},{str(ok).lower()}"
+                for (n, c), ok in zip(self.profile.pairs(), self.check.verdicts)]
+
+    def to_text(self) -> str:
+        return self.profile.to_text() + "\n" + self.check.to_text()
 
 
 def profile(A: AlternatingAutomaton, n_max: int) -> ComplexityProfile:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .errors import BudgetExceeded, StatelabError, UnsupportedError
@@ -78,8 +78,38 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+class Report:
+    """A result in three forms. Its JSON is `payload()`: by default every
+    dataclass field shown in repr whose value is not None. Its CSV is the
+    rows `csv_rows()` under `CSV_HEADER`; its text is `to_text()`."""
+
+    CSV_HEADER = ""
+
+    def payload(self) -> dict:
+        shown = {f.name: getattr(self, f.name) for f in fields(self) if f.repr}
+        return {key: value for key, value in shown.items() if value is not None}
+
+    def to_json(self) -> str:
+        return canonical_json(self.payload())
+
+    def to_csv(self) -> str:
+        return render([self], "csv")
+
+
+def render(reports: Sequence[Report], fmt: str) -> str:
+    """One JSON line per report, one CSV table under the first report's
+    header, or the reports' texts a blank line apart."""
+    if fmt == "json":
+        return "\n".join(r.to_json() for r in reports)
+    if fmt == "csv":
+        return "\n".join([reports[0].CSV_HEADER, *(row for r in reports for row in r.csv_rows())])
+    if fmt == "text":
+        return "\n\n".join(r.to_text() for r in reports)
+    raise StatelabError(f"unknown report format {fmt!r}")
+
+
 @dataclass
-class QuotientCountReport:
+class QuotientCountReport(Report):
     language: str
     order: int
     witness_bound: int
@@ -90,22 +120,10 @@ class QuotientCountReport:
     # never rendered
     signatures: List[int] = field(default_factory=list, repr=False, compare=False)
 
-    def to_json(self) -> str:
-        return canonical_json(
-            {
-                "language": self.language,
-                "order": self.order,
-                "witness_bound": self.witness_bound,
-                "count": self.count,
-                "representatives": self.representatives,
-            }
-        )
+    CSV_HEADER = "class,representative"
 
-    def to_csv(self) -> str:
-        lines = ["class,representative"]
-        for i, rep in enumerate(self.representatives):
-            lines.append(f"{i},{rep}")
-        return "\n".join(lines)
+    def csv_rows(self) -> List[str]:
+        return [f"{i},{rep}" for i, rep in enumerate(self.representatives)]
 
     def to_text(self) -> str:
         return (
@@ -148,7 +166,7 @@ class RowSpec:
 
 
 @dataclass
-class QueryTableReport:
+class QueryTableReport(Report):
     language: str
     order: int
     row_spec: dict
@@ -160,23 +178,10 @@ class QueryTableReport:
     # rendered, and `profiles` spells each row's as a 0/1 string
     signatures: List[int] = field(default_factory=list, repr=False, compare=False)
 
-    def to_json(self) -> str:
-        payload = {
-            "language": self.language,
-            "order": self.order,
-            "row_spec": self.row_spec,
-            "count": self.count,
-            "representatives": self.representatives,
-        }
-        if self.profiles is not None:
-            payload["profiles"] = self.profiles
-        return canonical_json(payload)
+    CSV_HEADER = "profile,representative"
 
-    def to_csv(self) -> str:
-        lines = ["profile,representative"]
-        for i, rep in enumerate(self.representatives):
-            lines.append(f"{i},{rep}")
-        return "\n".join(lines)
+    def csv_rows(self) -> List[str]:
+        return [f"{i},{rep}" for i, rep in enumerate(self.representatives)]
 
     def to_text(self) -> str:
         return (

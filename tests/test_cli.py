@@ -343,13 +343,18 @@ def test_profile_csv_bytes_with_and_without_a_bound(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ("profile", "maj2", "2"),
+    ("profile", "maj2", "2", "--bound-class", "n", "--constant", "3"),
     ("quotients", "count-eq3", "--order", "1", "--witness", "3"),
     ("query-table", "lex", "--order", "1", "--rows-max", "1"),
-], ids=lambda argv: argv[0])
+    ("experiment", "exp-alt", "--n", "1"),
+], ids=["profile", "profile-bound", "quotients", "query-table", "experiment"])
 def test_csv_output_ends_with_one_newline(capsys, argv):
-    code, out, _ = run(capsys, *argv, "--format", "csv")
-    assert code == 0
-    assert out.endswith("\n") and not out.endswith("\n\n")
+    # and so does every other format of every report
+    for fmt in ("json", "csv", "text"):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        assert code == 0, fmt
+        assert out.endswith("\n") and not out.endswith("\n\n"), fmt
 
 
 @pytest.mark.parametrize("flag", ["--n", "--limit", "--count"])
@@ -447,6 +452,12 @@ def test_prob_eval_letter_outside_the_alphabet_is_usage_error(capsys):
 @pytest.mark.parametrize("shape,message", [
     ("foo", "unknown bound class 'foo'"),
     ("n^0", "bad bound exponent in 'n^0'"),
+    # int() would read each of these as an exponent
+    ("n^\u0663", "bad bound class 'n^\u0663'"),
+    ("n^+3", "bad bound class 'n^+3'"),
+    ("n^ 3", "bad bound class 'n^ 3'"),
+    ("n^3 ", "bad bound class 'n^3 '"),
+    ("n^1_0", "bad bound class 'n^1_0'"),
 ])
 def test_bad_bound_class_is_usage_error_before_any_language(capsys, monkeypatch, shape, message):
     import statelab.cli as cli

@@ -424,7 +424,7 @@ def test_core_crosscheck_is_deterministic_for_a_seed():
     r1 = run_core_crosscheck(seed=7, count=25, mono_pairs=200)
     r2 = run_core_crosscheck(seed=7, count=25, mono_pairs=200)
     assert r1.passed and r2.passed
-    assert r1.canonical_json() == r2.canonical_json()
+    assert r1.to_json() == r2.to_json()
 
 
 def test_core_crosscheck_asks_each_route_once_per_automaton_and_word(monkeypatch):
@@ -523,7 +523,7 @@ def test_random_automata_have_bounded_shape():
 
 def test_canonical_json_excludes_duration():
     report = run_experiment("exp-alt", n=1)
-    payload = json.loads(report.canonical_json())
+    payload = json.loads(report.to_json())
     assert set(payload) == {
         "experiment", "claim", "parameters", "measured", "bound", "verdict",
     }

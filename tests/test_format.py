@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from statelab import (
     FormatError,
     ProbAutomaton,
     conj,
+    determinize_finite,
     disj,
     load_automaton,
     load_prob_automaton,
@@ -180,6 +182,25 @@ def test_random_automaton_round_trip(seed):
     assert serialize_automaton(loaded) == text
     for w in m.alphabet.words_up_to(5):
         assert loaded.accepts(w) == m.accepts(w), w
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_automaton(DOC),
+    lambda: random_automaton(random.Random(3)),
+    lambda: determinize_finite(load_automaton(DOC)),
+], ids=["loaded", "random", "determinized"])
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "after-runs"])
+def test_declared_automata_survive_pickling(build, warm):
+    m = build()
+    words = list(m.alphabet.words_up_to(5))
+    if warm:
+        # fills the transition memo and the lattice tables before pickling
+        for w in words:
+            m.accepts(w)
+    clone = pickle.loads(pickle.dumps(m))
+    assert clone.name == m.name and clone.states == m.states
+    for w in words:
+        assert clone.accepts(w) == m.accepts(w), w
 
 
 def random_dyadic_machine(rng: random.Random) -> ProbAutomaton:

@@ -54,7 +54,7 @@ EXPERIMENT_DIGESTS = [
     ids=[exp_id for exp_id, *_ in EXPERIMENT_DIGESTS],
 )
 def test_experiment_report_bytes(exp_id, overrides, length, digest):
-    text = run_experiment(exp_id, **overrides).canonical_json()
+    text = run_experiment(exp_id, **overrides).to_json()
     actual = (len(text), hashlib.sha256(text.encode("utf-8")).hexdigest())
     assert actual == (length, digest), text
 

@@ -11,7 +11,7 @@ from statelab import (
     get_language,
     profile,
 )
-from statelab.profiler import BOUND_CLASSES, bound_function
+from statelab.profiler import BOUND_CLASSES, CheckedProfile, bound_function
 
 
 def test_bound_function_shapes():
@@ -28,7 +28,7 @@ def test_bound_function_shapes():
 
 
 def test_bound_function_rejects_unknown_classes():
-    for bad in ("m", "n^", "n^x", "3^n", ""):
+    for bad in ("m", "n^", "n^x", "3^n", "", "n^\u0663", "n^+3", "n^ 3", "n^3 ", "n^1_0"):
         with pytest.raises(StatelabError):
             bound_function(bad)
     assert "const" in BOUND_CLASSES
@@ -108,3 +108,17 @@ def test_profile_serializations():
     assert lines[1] == "0,1"
     assert lines[-1] == "3,7"
     assert m.name in prof.to_text()
+
+
+def test_checked_profile_pairs_each_depth_with_its_verdict():
+    prof = profile(get_language("maj2").automaton, 3)
+    check = check_bound(prof, "n", 2)
+    checked = CheckedProfile(prof, check)
+    assert json.loads(checked.to_json()) == {
+        "automaton": "maj2",
+        "profile": [1, 3, 5, 7],
+        "bound": json.loads(check.to_json()),
+    }
+    assert checked.to_csv() == "n,count,within_bound\n0,1,true\n1,3,false\n2,5,false\n3,7,false"
+    assert check.to_csv() == "n,within_bound\n0,true\n1,false\n2,false\n3,false"
+    assert checked.to_text() == prof.to_text() + "\n" + check.to_text()

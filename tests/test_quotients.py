@@ -24,6 +24,7 @@ from statelab import (
     quotient_member,
     split_depth,
 )
+from statelab.quotients import render
 
 
 def even_zeros_oracle():
@@ -364,6 +365,27 @@ def test_query_table_reports_serialize():
     assert payload["row_spec"]["kind"] == "explicit"
     lines = report.to_csv().splitlines()
     assert lines[0] == "profile,representative"
+
+
+def test_a_report_shows_its_repr_fields_that_are_set():
+    L = get_language("l-exp").oracle
+    plain = query_table(L, 1, RowSpec.explicit(["", "#0"]))
+    full = query_table(L, 1, RowSpec.explicit(["", "#0"]), include_profiles=True)
+    shown = {"language", "order", "row_spec", "count", "representatives"}
+    assert set(plain.payload()) == shown
+    assert set(full.payload()) == shown | {"profiles"}
+    assert json.loads(full.to_json()) == full.payload()
+
+
+def test_render_joins_reports_in_each_format():
+    L = get_language("count-eq3").oracle
+    reports = [count_quotients(L, 0, 1), count_quotients(L, 1, 3)]
+    assert render(reports, "json") == "\n".join(r.to_json() for r in reports)
+    assert render(reports, "csv") == "class,representative\n0,\n0,\n1,a\n2,b\n3,c"
+    assert render(reports, "text") == reports[0].to_text() + "\n\n" + reports[1].to_text()
+    assert render(reports[1:], "csv") == reports[1].to_csv()
+    with pytest.raises(StatelabError, match="unknown report format 'xml'"):
+        render(reports, "xml")
 
 
 def test_row_spec_validation():
