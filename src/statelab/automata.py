@@ -47,7 +47,6 @@ check and atoms().
 
 from __future__ import annotations
 
-from collections import deque
 from functools import partial, reduce
 from operator import and_, or_
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
@@ -414,9 +413,8 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
     trans = {}
     discovered = [g0]
     seen = {g0}
-    queue = deque([g0])
-    while queue:
-        g = queue.popleft()
+    # breadth first: the loop walks `discovered` while it grows
+    for g in discovered:
         for a in A.alphabet:
             h = step(g, a)
             trans[(g, a)] = Atom(h)
@@ -427,7 +425,6 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
                     )
                 seen.add(h)
                 discovered.append(h)
-                queue.append(h)
 
     return AlternatingAutomaton(
         alphabet=A.alphabet,

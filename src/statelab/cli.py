@@ -152,19 +152,10 @@ def cmd_experiment(args) -> int:
         return 0
     if args.id is None:
         raise UsageError("need an experiment id, 'all', or --list")
+    overrides = {k: getattr(args, k) for k in ("seed", "budget", "n", "limit", "count")}
     if args.id == "all":
-        for flag in ("n", "limit", "count"):
-            if getattr(args, flag) is not None:
-                raise UsageError(f"--{flag} applies to a single experiment, not to 'all'")
-        reports = run_all(seed=args.seed, budget=args.budget)
+        reports = run_all(**overrides)
     else:
-        overrides = {
-            "seed": args.seed,
-            "budget": args.budget,
-            "n": args.n,
-            "limit": args.limit,
-            "count": args.count,
-        }
         reports = [run_experiment(args.id, **overrides)]
     _emit(render(reports, args.format), args.out)
     return 0 if all(r.passed for r in reports) else 1

@@ -527,8 +527,8 @@ REGISTRY: Dict[str, Callable[..., ExperimentReport]] = {
 
 REGISTRY_ORDER = list(REGISTRY)
 
-# passed to every runner by the CLI and run_all; a runner that does not
-# take one of these simply does not get it
+# the only overrides run_all takes, as they apply to every experiment; a
+# runner that does not take one of these simply does not get it
 _SHARED_OVERRIDES = frozenset({"seed", "budget"})
 
 
@@ -571,5 +571,11 @@ def run_experiment(exp_id: str, **overrides) -> ExperimentReport:
 
 
 def run_all(**overrides) -> List[ExperimentReport]:
-    """Run the whole registry; reports come back in registry order."""
+    """Run the whole registry; reports come back in registry order.
+
+    An override other than seed and budget that is not None raises
+    UsageError before anything runs."""
+    for key, value in overrides.items():
+        if value is not None and key not in _SHARED_OVERRIDES:
+            raise UsageError(f"--{key} applies to a single experiment, not to 'all'")
     return [run_experiment(exp_id, **overrides) for exp_id in REGISTRY_ORDER]

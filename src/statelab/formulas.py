@@ -161,7 +161,8 @@ def disj(parts: Iterable[Formula]) -> Formula:
 
 
 def atoms(formula: Formula) -> Iterator[State]:
-    """All states mentioned in the formula. Constants mention none."""
+    """All states mentioned in the formula. Constants mention none; a node
+    that is not a formula raises StatelabError."""
     stack = [formula]
     while stack:
         f = stack.pop()
@@ -169,7 +170,8 @@ def atoms(formula: Formula) -> Iterator[State]:
             yield f.state
         elif isinstance(f, (And, Or)):
             stack.extend(f.children)
-        # _Const: nothing
+        elif f is not TRUE and f is not FALSE:
+            raise StatelabError(f"not a formula: {f!r}")
 
 
 def evaluate(formula: Formula, truth: Callable[[State], bool]) -> bool:

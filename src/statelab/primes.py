@@ -1,15 +1,13 @@
 """Exact primality below 2^64 and small number-theoretic searches.
 
-The membership oracle for the primes language calls is_prime on the
-integer value of a binary word, so it has to be fast and exact. Values
-below 2^16 are looked up in a byte table that `sieve` builds once at
-import (64 KB). Larger values first go through one gcd with the product
-of the twelve primes up to 37, then through the Miller-Rabin test with
-fixed witness sets, which is a proven deterministic test below 2^64; the
-thresholds used are the classical ones, so smaller inputs get away with
-fewer witness rounds. The isolated-prime search does not call is_prime:
-it sieves its range segment by segment, once for all the residues it
-is asked about.
+Values below 2^16 are looked up in a byte table that `sieve` builds
+once at import (64 KB); the membership oracle for the primes language
+reads that table itself and calls is_prime only above it. Larger values
+first go through one gcd with the product of the twelve primes up to
+37, then through the Miller-Rabin test with those twelve primes as
+witnesses, which is a proven deterministic test below 2^64.
+The isolated-prime search does not call is_prime: it sieves its range
+segment by segment, once for all the residues it is asked about.
 """
 
 from __future__ import annotations
@@ -22,22 +20,11 @@ from .errors import StatelabError, UnsupportedError
 
 TWO_64 = 1 << 64
 
-# (bound, witnesses): the witness set decides primality exactly for all
-# n < bound. The final set covers everything below 2^64.
-_MR_LADDER = (
-    (2047, (2,)),
-    (1373653, (2, 3)),
-    (25326001, (2, 3, 5)),
-    (3215031751, (2, 3, 5, 7)),
-    (4759123141, (2, 7, 61)),
-    (2152302898747, (2, 3, 5, 7, 11)),
-    (3474749660383, (2, 3, 5, 7, 11, 13)),
-    (341550071728321, (2, 3, 5, 7, 11, 13, 17)),
-    (TWO_64, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-)
-
-# every prime up to 37; one gcd with their product tests them all
-_SMALL_PRIMES_PRODUCT = prod((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37))
+# every prime up to 37, tested as divisors by one gcd with their product;
+# as Miller-Rabin witnesses they decide every n below 318665857834031151167461
+# (the smallest strong pseudoprime to all twelve), far above 2^64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES_PRODUCT = prod(_SMALL_PRIMES)
 
 
 def is_prime(n: int) -> bool:
@@ -56,10 +43,7 @@ def is_prime(n: int) -> bool:
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    for bound, witnesses in _MR_LADDER:
-        if n < bound:
-            break
-    for a in witnesses:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

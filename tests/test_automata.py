@@ -9,6 +9,7 @@ from statelab import (
     FALSE,
     TRUE,
     AlternatingAutomaton,
+    And,
     Atom,
     KindError,
     Or,
@@ -20,6 +21,7 @@ from statelab import (
     disj,
     game_tree_accepts,
     get_language,
+    profile,
 )
 from statelab import automata
 from statelab.automata import DETERMINIZE_STATE_LIMIT, FOLD_STATE_LIMIT
@@ -125,6 +127,20 @@ def test_delta_result_that_is_not_a_formula_is_rejected():
         m.reachable_counts(3)
     with pytest.raises(StatelabError, match="not a formula"):
         AlternatingAutomaton("ab", 0, lambda q, a: None, {0}).accepts("a")
+
+
+def test_a_formula_with_a_node_that_is_not_a_formula_is_refused():
+    def junk_automaton():
+        return AlternatingAutomaton("ab", 0, lambda q, a: And((Atom(1), "junk")), lambda q: False)
+
+    for run in (
+        lambda A: A.reachable_counts(3),
+        lambda A: profile(A, 2),
+        lambda A: A.accepts("ab"),
+        lambda A: A.accepts_up_to(1),
+    ):
+        with pytest.raises(StatelabError, match=r"^not a formula: 'junk'$"):
+            run(junk_automaton())
 
 
 def test_mapping_and_callable_transitions_are_equivalent():

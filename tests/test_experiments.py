@@ -1,3 +1,4 @@
+import functools
 import inspect
 import json
 from itertools import product
@@ -76,6 +77,30 @@ def test_overrides_are_checked_before_the_run(monkeypatch):
     # seed and budget go to every experiment; one that takes neither ignores them
     assert exps.run_experiment("probe", n=2, seed=3, budget=10).passed
     assert ran == [2]
+
+
+def test_run_all_refuses_a_single_experiment_override_before_any_runner(monkeypatch):
+    import statelab.experiments as exps
+
+    called = []
+
+    def counting(exp_id, runner):
+        # wraps keeps the real signature for _runner_overrides
+        @functools.wraps(runner)
+        def fake(**kwargs):
+            called.append(exp_id)
+            return SimpleNamespace()
+
+        return fake
+
+    monkeypatch.setattr(exps, "REGISTRY", {k: counting(k, r) for k, r in REGISTRY.items()})
+    monkeypatch.setattr(exps, "run_hierarchy", counting("hierarchy:2", REGISTRY["hierarchy:2"]))
+    for key in ("n", "limit", "count"):
+        with pytest.raises(UsageError, match=rf"^--{key} applies to a single experiment"):
+            exps.run_all(seed=3, **{key: 2})
+    assert called == []
+    exps.run_all(seed=3, budget=10**8, n=None, limit=None, count=None)
+    assert called == REGISTRY_ORDER
 
 
 @pytest.mark.parametrize("exp_id", REGISTRY_ORDER)

@@ -39,6 +39,17 @@ def test_carmichael_numbers_are_composite():
         assert not is_prime(n)
 
 
+# the smallest strong pseudoprimes to the first 2, 3, 4, 5, 6, 8 and 11
+# primes: each passes those Miller-Rabin witnesses, and the last one is
+# caught only by the twelfth, 37
+@pytest.mark.parametrize("n", [
+    1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051,
+])
+def test_strong_pseudoprimes_are_composite(n):
+    assert not is_prime(n)
+
+
 def test_large_values_below_the_supported_ceiling():
     assert is_prime(2**61 - 1)
     assert is_prime(2**64 - 59)
