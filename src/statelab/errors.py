@@ -33,7 +33,7 @@ class BudgetExceeded(StatelabError):
 
 
 class UsageError(StatelabError):
-    """Bad caller input (flags, names, overrides), distinct from a checked runtime failure."""
+    """Bad caller input (flags, names, overrides, words), not a checked runtime failure."""
 
 
 class UnsupportedError(StatelabError):

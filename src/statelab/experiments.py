@@ -520,8 +520,6 @@ REGISTRY: Dict[str, Callable[..., ExperimentReport]] = {
     "core-crosscheck": run_core_crosscheck,
 }
 
-REGISTRY_ORDER = list(REGISTRY)
-
 # the only overrides run_all takes, as they apply to every experiment; a
 # runner that does not take one of these simply does not get it
 _SHARED_OVERRIDES = frozenset({"seed", "budget"})
@@ -556,7 +554,7 @@ def run_experiment(exp_id: str, **overrides) -> ExperimentReport:
         runner = REGISTRY.get(exp_id)
         if runner is None:
             raise UsageError(
-                f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY_ORDER)}"
+                f"unknown experiment {exp_id!r}; known: {', '.join(REGISTRY)}"
             )
     clean = _runner_overrides(exp_id, runner, clean, fixed)
     start = time.perf_counter()
@@ -573,4 +571,4 @@ def run_all(**overrides) -> List[ExperimentReport]:
     for key, value in overrides.items():
         if value is not None and key not in _SHARED_OVERRIDES:
             raise UsageError(f"--{key} applies to a single experiment, not to 'all'")
-    return [run_experiment(exp_id, **overrides) for exp_id in REGISTRY_ORDER]
+    return [run_experiment(exp_id, **overrides) for exp_id in REGISTRY]

@@ -5,8 +5,9 @@ by every experiment) with, where one exists at reasonable state
 complexity, an explicit automaton over a lazily generated state space.
 A declared complexity class (bound function name plus constant) feeds
 the profiler's bound checks; the constants were measured by running the
-profiler at the documented depth and rounding the worst ratio up, so
-they are empirical ceilings, not asymptotic claims.
+profiler at the documented depth and rounding the worst ratio up. Those
+of not-eq, lex, count-eq3 and maj2 also hold at every n >= 1, by reachable
+sets derived from delta (tests/test_derived_counts.py); l-hier:2's is measured.
 
 Each language is one `_spec` call: its name and alphabet are stated
 once, and its oracle and automaton are built from them.

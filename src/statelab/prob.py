@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Hashable, List, Tuple
 
-from .errors import StatelabError
+from .errors import StatelabError, UsageError
 from .words import Alphabet
 
 State = Hashable
@@ -30,7 +30,8 @@ HALF = Fraction(1, 2)
 
 
 def bin_int(word: str) -> int:
-    """Integer value of a binary word, least significant digit first."""
+    """Integer value of a binary word, least significant digit first; any
+    other string is a UsageError."""
     # int() alone would also take signs, underscores, spaces and
     # non-ASCII digits; of the ASCII digits it refuses 2 to 9 itself
     if word.isascii() and word.isdigit():
@@ -40,7 +41,7 @@ def bin_int(word: str) -> int:
             pass
     elif not word:
         return 0
-    raise StatelabError(f"not a binary word: {word!r}")
+    raise UsageError(f"not a binary word: {word!r}")
 
 
 def bin_frac(word: str) -> Fraction:
@@ -208,16 +209,17 @@ def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
 def separate_quotients(u: str, v: str) -> str:
     """Suffix '#'+w with (u+'1')·suffix and (v+'1')·suffix split by 1/2.
 
-    u and v must be distinct binary words of equal length. Appending '1'
-    makes both values at least 1/2 (so their reciprocals stay in range)
-    while preserving distinctness; w is then a dyadic value strictly
-    between 1/(2*hi) and 1/(2*lo), putting one product strictly above
-    the cut point and the other strictly below or at it.
+    u and v must be distinct binary words of equal length, else
+    UsageError. Appending '1' makes both values at least 1/2 (so their
+    reciprocals stay in range) while preserving distinctness; w is then a
+    dyadic value strictly between 1/(2*hi) and 1/(2*lo), putting one
+    product strictly above the cut point and the other strictly below or
+    at it.
     """
     if len(u) != len(v):
-        raise StatelabError("words must have equal length")
+        raise UsageError("words must have equal length")
     if u == v:
-        raise StatelabError("words must be distinct")
+        raise UsageError("words must be distinct")
     # the values of u + "1" and v + "1", read so that bin_int checks the
     # words as given; distinct binary words of one length differ in value
     top = 1 << len(u)

@@ -81,9 +81,10 @@ def canonical_json(payload: dict) -> str:
 
 
 class Report:
-    """A result in three forms. Its JSON is `payload()`: by default every
-    dataclass field shown in repr whose value is not None. Its CSV is the
-    rows `csv_rows()` under `CSV_HEADER`; its text is `to_text()`."""
+    """A result in three forms, printed only through `render`. Its JSON is
+    `payload()`: by default every dataclass field shown in repr whose value
+    is not None. Its CSV is the rows `csv_rows()` under `CSV_HEADER`; its
+    text is `to_text()`."""
 
     CSV_HEADER = ""
 
@@ -93,9 +94,6 @@ class Report:
 
     def to_json(self) -> str:
         return canonical_json(self.payload())
-
-    def to_csv(self) -> str:
-        return render([self], "csv")
 
 
 def render(reports: Sequence[Report], fmt: str) -> str:

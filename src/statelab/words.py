@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import chain, product
 from typing import Callable, Iterable, Iterator
 
-from .errors import StatelabError
+from .errors import StatelabError, UsageError
 
 
 class Alphabet:
@@ -47,13 +47,13 @@ class Alphabet:
         return f"Alphabet({self.letters!r})"
 
     def check_word(self, word: str) -> None:
-        """Raise naming the first letter of word outside the alphabet."""
+        """Raise UsageError naming the first letter of word outside the alphabet."""
         # strip leaves nothing exactly when every letter is in the alphabet;
         # the letters are walked only to name the first bad one
         if word.strip(self.letters):
             for ch in word:
                 if ch not in self._rank:
-                    raise StatelabError(f"letter {ch!r} not in alphabet {self.letters!r}")
+                    raise UsageError(f"letter {ch!r} not in alphabet {self.letters!r}")
 
     def sort_key(self, word: str):
         """Key realizing the canonical length-then-declared-letter order."""

@@ -181,6 +181,29 @@ def test_determinize_requires_declared_states():
         determinize_finite(m)
 
 
+def test_determinize_refuses_an_undeclared_initial_state():
+    m = AlternatingAutomaton("ab", "x", {(0, "a"): Atom(0), (0, "b"): Atom(0)}, [0], states=[0])
+    with pytest.raises(StatelabError, match="^initial state 'x' is not a declared state$"):
+        determinize_finite(m)
+    # the fold cannot be built either, so accepts answers by the backward route
+    assert m.accepts("") is False
+
+
+def test_determinize_refuses_a_node_that_is_no_formula():
+    m = AlternatingAutomaton("ab", 0, {(0, "a"): And((Atom(0), "junk")), (0, "b"): TRUE},
+                             [0], states=[0])
+    with pytest.raises(StatelabError, match="^not a formula: 'junk'$"):
+        determinize_finite(m)
+    # the backward route never reads (0, 'a') on "b"
+    assert m.accepts("b") is True
+
+
+def test_game_tree_play_refuses_a_node_that_is_no_formula():
+    m = AlternatingAutomaton("ab", 0, {(0, "a"): And(("junk", Atom(0))), (0, "b"): TRUE}, [0])
+    with pytest.raises(StatelabError, match="^not a formula: 'junk'$"):
+        game_tree_accepts(m, "a")
+
+
 def _counting(table):
     """A delta callable over `table` and the list of (q, a) it was asked."""
     asked = []

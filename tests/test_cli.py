@@ -256,9 +256,10 @@ def test_query_table_rows_takes_at_least_one_word(capsys):
 
 
 def test_query_table_requires_a_row_source(capsys):
-    code, _, err = run(capsys, "query-table", "l-exp", "--order", "1")
-    assert code == 2
-    assert "rows" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["query-table", "l-exp", "--order", "1"])
+    assert exc.value.code == 2
+    assert "rows" in capsys.readouterr().err
 
 
 def test_prob_eval_prints_exact_fraction(capsys):

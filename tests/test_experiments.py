@@ -16,7 +16,6 @@ from statelab import (
 )
 from statelab.experiments import (
     REGISTRY,
-    REGISTRY_ORDER,
     ExperimentReport,
     _runner_overrides,
     _subset_rows,
@@ -27,7 +26,7 @@ from statelab.experiments import (
 
 
 def test_registry_order_is_stable():
-    assert REGISTRY_ORDER == [
+    assert list(REGISTRY) == [
         "rabin-claim",
         "exp-alt",
         "hierarchy:2",
@@ -99,10 +98,10 @@ def test_run_all_refuses_a_single_experiment_override_before_any_runner(monkeypa
             exps.run_all(seed=3, **{key: 2})
     assert called == []
     exps.run_all(seed=3, budget=10**8, n=None, limit=None, count=None)
-    assert called == REGISTRY_ORDER
+    assert called == list(REGISTRY)
 
 
-@pytest.mark.parametrize("exp_id", REGISTRY_ORDER)
+@pytest.mark.parametrize("exp_id", REGISTRY)
 def test_every_runner_parameter_is_an_accepted_override(exp_id):
     runner = REGISTRY[exp_id]
     params = dict.fromkeys(inspect.signature(runner).parameters, 1)
@@ -585,6 +584,5 @@ def test_run_all_respects_registry_order(monkeypatch):
 
     fake_registry = {"one": fake("one"), "two": fake("two"), "three": fake("three")}
     monkeypatch.setattr(exps, "REGISTRY", fake_registry)
-    monkeypatch.setattr(exps, "REGISTRY_ORDER", list(fake_registry))
     serial = exps.run_all()
     assert [r.experiment for r in serial] == ["one", "two", "three"]

@@ -344,3 +344,8 @@ def test_nodes_keep_equality_hash_and_repr(clone):
     # equality asks for the exact class, never a subclass or a look-alike
     assert x != ("q", 1) and x != y and And((x, y)) != Or((x, y))
     assert (x == 1) is False and x.__eq__(1) is NotImplemented
+
+
+def test_format_formula_refuses_a_node_that_is_no_formula():
+    with pytest.raises(StatelabError, match="^not a formula: 'junk'$"):
+        format_formula("junk")

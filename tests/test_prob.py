@@ -12,6 +12,7 @@ from statelab import (
     ProbAutomaton,
     StatelabError,
     ThresholdLanguage,
+    UsageError,
     bin_frac,
     bin_int,
     dyadic_witness,
@@ -306,3 +307,14 @@ def test_distribution_is_a_probability_vector():
         dist = m.distribution(w)
         assert sum(dist.values()) == 1
         assert all(0 <= p <= 1 for p in dist.values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bin_int("102"),
+    lambda: separate_quotients("0", "00"),
+    lambda: separate_quotients("01", "01"),
+    lambda: separate_quotients("0x", "01"),
+])
+def test_bad_binary_input_is_a_usage_error_where_it_is_found(call):
+    with pytest.raises(UsageError):
+        call()

@@ -12,6 +12,7 @@ from statelab import (
     profile,
 )
 from statelab.profiler import BOUND_CLASSES, CheckedProfile, bound_function
+from statelab.quotients import render
 
 
 def test_bound_function_shapes():
@@ -103,7 +104,7 @@ def test_profile_serializations():
     prof = profile(m, 3)
     payload = json.loads(prof.to_json())
     assert payload == {"automaton": m.name, "counts": [1, 3, 5, 7]}
-    lines = prof.to_csv().splitlines()
+    lines = render([prof], "csv").splitlines()
     assert lines[0] == "n,count"
     assert lines[1] == "0,1"
     assert lines[-1] == "3,7"
@@ -119,6 +120,6 @@ def test_checked_profile_pairs_each_depth_with_its_verdict():
         "profile": [1, 3, 5, 7],
         "bound": json.loads(check.to_json()),
     }
-    assert checked.to_csv() == "n,count,within_bound\n0,1,true\n1,3,false\n2,5,false\n3,7,false"
-    assert check.to_csv() == "n,within_bound\n0,true\n1,false\n2,false\n3,false"
+    assert render([checked], "csv") == "n,count,within_bound\n0,1,true\n1,3,false\n2,5,false\n3,7,false"
+    assert render([check], "csv") == "n,within_bound\n0,true\n1,false\n2,false\n3,false"
     assert checked.to_text() == prof.to_text() + "\n" + check.to_text()

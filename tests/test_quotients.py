@@ -320,7 +320,7 @@ def test_quotient_report_serializations():
         "count": 4,
         "representatives": ["", "a", "b", "c"],
     }
-    lines = report.to_csv().splitlines()
+    lines = render([report], "csv").splitlines()
     assert lines[0] == "class,representative"
     assert len(lines) == 5
     assert "4" in report.to_text()
@@ -379,7 +379,7 @@ def test_query_table_reports_serialize():
     assert payload["order"] == 1
     assert payload["count"] == 2
     assert payload["row_spec"]["kind"] == "explicit"
-    lines = report.to_csv().splitlines()
+    lines = render([report], "csv").splitlines()
     assert lines[0] == "profile,representative"
 
 
@@ -399,7 +399,6 @@ def test_render_joins_reports_in_each_format():
     assert render(reports, "json") == "\n".join(r.to_json() for r in reports)
     assert render(reports, "csv") == "class,representative\n0,\n0,\n1,a\n2,b\n3,c"
     assert render(reports, "text") == reports[0].to_text() + "\n\n" + reports[1].to_text()
-    assert render(reports[1:], "csv") == reports[1].to_csv()
     with pytest.raises(StatelabError, match="unknown report format 'xml'"):
         render(reports, "xml")
 
@@ -564,3 +563,8 @@ def test_over_long_primes_requests_fail_before_any_query(search):
     with pytest.raises(UnsupportedError, match="up to 64 letters"):
         search(counted)
     assert asked == []
+
+
+def test_row_spec_of_an_unknown_kind_is_refused():
+    with pytest.raises(StatelabError, match="^unknown row spec kind 'bogus'$"):
+        RowSpec(kind="bogus").row_words(Alphabet("ab"))

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statelab import Alphabet, StatelabError
+from statelab import Alphabet, StatelabError, UsageError
 from statelab.words import _mask
 
 
@@ -34,6 +34,11 @@ def test_check_word():
     alpha.check_word("")
     with pytest.raises(StatelabError):
         alpha.check_word("012")
+
+
+def test_an_off_alphabet_word_is_a_usage_error():
+    with pytest.raises(UsageError, match="^letter '2' not in alphabet '01'$"):
+        Alphabet("01").check_word("012")
 
 
 def test_words_of_length_declared_order():
