@@ -100,9 +100,15 @@ def _report(experiment, claim, parameters, measured, bound, ok) -> ExperimentRep
 # ---------------------------------------------------------------------------
 # rabin-claim
 
-def run_rabin_claim(n: int = 8) -> ExperimentReport:
+def run_rabin_claim(n: int = 8, budget: int = DEFAULT_BUDGET) -> ExperimentReport:
     """Pairwise-distinct quotients for all binary words of each length <= n."""
     _need("rabin-claim", "n", n, 1)
+    # two membership queries per pair, 2^L * (2^L - 1) at order L, all
+    # charged before any word is built; one ledger, so a refusal counts
+    # the orders up to the first that does not fit
+    ledger = Budget(budget)
+    for length in range(1, n + 1):
+        ledger.charge((1 << length) * ((1 << length) - 1))
     machine = rabin_automaton()
     lang = ThresholdLanguage(machine)
     alpha = Alphabet("01")
@@ -111,10 +117,12 @@ def run_rabin_claim(n: int = 8) -> ExperimentReport:
     for length in range(1, n + 1):
         words = list(alpha.words_of_length(length))
         pairs = len(words) * (len(words) - 1) // 2
+        # each word's prefix u + "1" is run once; its pairs continue from it
+        prefix = {u: machine.distribution(u + "1") for u in words}
         separated = 0
         for u, v in combinations(words, 2):
             s = separate_quotients(u, v)
-            if lang.member(u + "1" + s) != lang.member(v + "1" + s):
+            if lang.member(s, prefix[u]) != lang.member(s, prefix[v]):
                 separated += 1
         if separated < pairs:
             ok = False

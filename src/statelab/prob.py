@@ -17,7 +17,7 @@ between two values witnesses the difference.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from .errors import StatelabError, UsageError
 from .words import Alphabet
@@ -118,10 +118,17 @@ class ProbAutomaton:
                     problems.append(f"row ({q!r}, {a!r}) sums to {total}")
         return problems
 
-    def distribution(self, word: str) -> Dict[State, Fraction]:
-        """State distribution after reading word from the initial state."""
+    def distribution(self, word: str,
+                     start: Optional[Dict[State, Fraction]] = None) -> Dict[State, Fraction]:
+        """State distribution after reading word from the initial state, or
+        from the distribution `start` when one is given.
+
+        `start` is left unchanged and the result is a new dict, so a run
+        continued from distribution(x) gives exactly distribution(x + y):
+        one prefix can be run once and shared by many suffixes.
+        """
         self.alphabet.check_word(word)
-        dist = {self.initial: ONE}
+        dist = {self.initial: ONE} if start is None else dict(start)
         for ch in word:
             rows = self._rows[ch]
             nxt: Dict[State, Fraction] = {}
@@ -135,19 +142,24 @@ class ProbAutomaton:
             dist = nxt
         return dist
 
-    def acceptance_probability(self, word: str) -> Fraction:
-        dist = self.distribution(word)
+    def acceptance_probability(self, word: str,
+                               start: Optional[Dict[State, Fraction]] = None) -> Fraction:
+        """Accepting mass after reading word, from `start` as in distribution."""
+        dist = self.distribution(word, start)
         return sum((p for q, p in dist.items() if q in self.accepting), ZERO)
 
 
 class ThresholdLanguage:
-    """Cut-point language: member(w) iff P(w) > 1/2, strictly."""
+    """Cut-point language: member(w) iff P(w) > 1/2, strictly.
+
+    member(y, start) decides the word x + y from start = distribution(x).
+    """
 
     def __init__(self, automaton: ProbAutomaton):
         self.automaton = automaton
 
-    def member(self, word: str) -> bool:
-        return self.automaton.acceptance_probability(word) > HALF
+    def member(self, word: str, start: Optional[Dict[State, Fraction]] = None) -> bool:
+        return self.automaton.acceptance_probability(word, start) > HALF
 
     __call__ = member
 

@@ -572,3 +572,12 @@ def test_primes_hs_budget_refusal_message(capsys, n, budget, needed):
     code, out, err = run(capsys, "experiment", "primes-hs", "--n", n, "--budget", budget)
     assert (code, out) == (1, "")
     assert err == f"error: operation needs about {needed} membership queries, budget is {budget}\n"
+
+
+def test_rabin_claim_takes_the_budget_flag(capsys):
+    code, out, err = run(capsys, "experiment", "rabin-claim", "--n", "2", "--budget", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: operation needs about 2 membership queries, budget is 1\n"
+    code, out, _ = run(capsys, "experiment", "rabin-claim", "--n", "2", "--budget", "14",
+                       "--format", "csv")
+    assert (code, out) == (0, "experiment,verdict\nrabin-claim,pass\n")

@@ -1,18 +1,23 @@
 import functools
 import inspect
 import json
-from itertools import product
+from itertools import combinations, product
 from types import SimpleNamespace
 
 import pytest
 
 from statelab import (
+    Alphabet,
     BudgetExceeded,
+    ProbAutomaton,
     StatelabError,
+    ThresholdLanguage,
     UsageError,
     get_language,
     query_table,
+    rabin_automaton,
     run_experiment,
+    separate_quotients,
 )
 from statelab.experiments import (
     REGISTRY,
@@ -140,6 +145,80 @@ def test_rabin_claim_fails_when_a_separator_splits_nothing(monkeypatch):
         "2": {"pairs": 6, "separated": 0, "distinct_quotients": 0},
     }
     assert report.verdict == "fail"
+
+
+def _short_suffix(u, v):
+    # a suffix that splits some pairs and not others
+    return "#" + (v + u)[:3]
+
+
+@pytest.mark.parametrize("separator", [separate_quotients, _short_suffix],
+                         ids=["dyadic", "short"])
+def test_rabin_claim_counts_the_pairs_the_whole_word_route_splits(monkeypatch, separator):
+    import statelab.experiments as exps
+
+    monkeypatch.setattr(exps, "separate_quotients", separator)
+    report = run_experiment("rabin-claim", n=5)
+    lang = ThresholdLanguage(rabin_automaton())
+    mixed = False
+    for length in range(1, 6):
+        words = Alphabet("01").words_of_length(length)
+        split = [lang.member(u + "1" + s) != lang.member(v + "1" + s)
+                 for u, v in combinations(words, 2) for s in [separator(u, v)]]
+        assert report.measured["orders"][str(length)]["separated"] == sum(split)
+        mixed = mixed or 0 < sum(split) < len(split)
+    assert mixed == (separator is _short_suffix)
+
+
+def test_rabin_claim_runs_each_prefix_once_per_order(monkeypatch):
+    runs = []
+    distribution = ProbAutomaton.distribution
+
+    def recording(self, word, start=None):
+        runs.append((word, start is None))
+        return distribution(self, word, start)
+
+    monkeypatch.setattr(ProbAutomaton, "distribution", recording)
+    assert run_experiment("rabin-claim", n=4).passed
+    # one run from the initial state per word u of each length, on u + "1"
+    whole = [word for word, fresh in runs if fresh]
+    assert len(whole) == 2 + 4 + 8 + 16
+    assert sorted(whole) == sorted(u + "1" for length in range(1, 5)
+                                   for u in Alphabet("01").words_of_length(length))
+    # and the two sides of every pair continue from them
+    assert len(runs) - len(whole) == 2 * (1 + 6 + 28 + 120)
+
+
+def test_rabin_claim_charges_its_budget_before_any_work(monkeypatch):
+    import statelab.experiments as exps
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rabin-claim did work before its budget check")
+
+    monkeypatch.setattr(exps, "separate_quotients", refuse)
+    monkeypatch.setattr(exps, "rabin_automaton", refuse)
+    # two queries per pair: 2 at order 1, 12 more at order 2
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("rabin-claim", n=2, budget=1)
+    assert (exc.value.needed, exc.value.budget) == (2, 1)
+    with pytest.raises(BudgetExceeded) as exc:
+        run_experiment("rabin-claim", n=2, budget=13)
+    assert (exc.value.needed, exc.value.budget) == (14, 13)
+    # the default budget takes n = 13 and refuses n = 14, counting the
+    # orders up to the first that does not fit
+    with pytest.raises(AssertionError, match="before its budget check"):
+        run_experiment("rabin-claim", n=13)
+    for n in (14, 10**12):
+        with pytest.raises(BudgetExceeded) as exc:
+            run_experiment("rabin-claim", n=n)
+        assert exc.value.needed == sum(4**k - 2**k for k in range(1, 15))
+        assert exc.value.budget == 10**8
+
+
+def test_rabin_claim_fits_the_budget_it_asks():
+    report = run_experiment("rabin-claim", n=2, budget=14)
+    # the budget is not a parameter of the claim, so the report bytes keep it out
+    assert report.passed and report.parameters == {"n": 2}
 
 
 def test_exp_alt_small_run_passes():

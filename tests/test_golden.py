@@ -59,6 +59,13 @@ def test_experiment_report_bytes(exp_id, overrides, length, digest):
     assert actual == (length, digest), text
 
 
+def test_rabin_claim_report_bytes_at_the_benchmark_order():
+    # n = 7 is what the rabin-separation benchmark workload runs
+    test_experiment_report_bytes(
+        "rabin-claim", {"n": 7}, 769,
+        "ec1d0fb1ed2ca282c6d6ce10835928baca0f8e7fd7f110b24871f97e0d8337aa")
+
+
 # the primes runs at benchmark scale, where the quotient sweep and the
 # prime oracle do most of their work
 PRIMES_DIGESTS = [

@@ -26,6 +26,7 @@ from statelab import (  # noqa: E402
     game_tree_accepts,
     get_language,
     query_table,
+    run_experiment,
     split_depth,
 )
 from statelab.experiments import _subset_rows, random_automaton  # noqa: E402
@@ -93,3 +94,14 @@ def test_backward_and_game_tree_routes_on_300_random_automata(benchmark):
     answers = benchmark.pedantic(_both_routes, args=(automata, words), rounds=1, iterations=1)
     assert len(answers) == 300 * 63
     assert all(b == g for b, g in answers) and sum(b for b, _ in answers) == 10_112
+
+
+def test_rabin_claim_at_n_6(benchmark):
+    # exact Fraction runs of the probabilistic machine: one prefix run per
+    # word and two suffix runs per pair, 2,667 pairs over the six orders
+    report = benchmark.pedantic(run_experiment, args=("rabin-claim",), kwargs={"n": 6},
+                                rounds=1, iterations=1)
+    orders = report.measured["orders"]
+    assert orders == {str(n): {"pairs": (1 << n) * ((1 << n) - 1) // 2,
+                               "separated": (1 << n) * ((1 << n) - 1) // 2,
+                               "distinct_quotients": 1 << n} for n in range(1, 7)}

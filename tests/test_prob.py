@@ -210,6 +210,48 @@ def test_distribution_names_the_missing_row_it_reaches():
         m.distribution("1")
 
 
+block_words = st.text(alphabet="01#", max_size=10)
+
+
+@settings(derandomize=True, max_examples=300)
+@given(block_words, block_words)
+def test_a_run_continued_from_a_prefix_distribution_is_the_whole_run(x, y):
+    m = rabin_automaton()
+    lang = ThresholdLanguage(m)
+    start = m.distribution(x)
+    before = dict(start)
+    assert m.distribution(y, start) == m.distribution(x + y)
+    assert start == before
+    assert m.acceptance_probability(y, start) == m.acceptance_probability(x + y)
+    assert start == before
+    assert lang.member(y, start) == lang.member(x + y) == lang(y, start)
+    assert start == before
+
+
+def test_a_continued_run_of_the_empty_word_is_a_copy_of_its_start():
+    m = rabin_automaton()
+    start = m.distribution("1")
+    dist = m.distribution("", start)
+    assert dist == start and dist is not start
+    dist["q0"] = Fraction(1, 3)
+    assert start == {"q0": Fraction(1, 2), "q1": Fraction(1, 2)}
+
+
+def test_a_continued_run_checks_its_suffix_like_a_whole_run():
+    m = rabin_automaton()
+    start = m.distribution("1")
+    for call in (m.distribution, m.acceptance_probability, ThresholdLanguage(m).member):
+        with pytest.raises(UsageError, match="letter '2' not in alphabet '01#'"):
+            call("12", start)
+    partial = ProbAutomaton("01", ["q", "r"], "q", {("q", "0"): {"r": 1}, ("r", "1"): {"r": 1}}, [])
+    start = partial.distribution("0")
+    with pytest.raises(StatelabError, match=r"missing row \('r', '0'\)"):
+        partial.distribution("0", start)
+    with pytest.raises(StatelabError, match=r"missing row \('q', '1'\)"):
+        partial.acceptance_probability("1", {"q": 1})
+    assert partial.distribution("1", start) == {"r": 1}
+
+
 def test_dyadic_witness_anchors():
     assert dyadic_witness(Fraction(1, 3), Fraction(1, 2)) == "110"
     assert dyadic_witness(Fraction(0), Fraction(1)) == "1"
