@@ -33,7 +33,6 @@ from .interchange import (
 from .primes import find_isolated_prime, find_isolated_primes, is_prime, sieve
 from .prob import (
     ProbAutomaton,
-    ThresholdLanguage,
     bin_frac,
     bin_int,
     dyadic_witness,
@@ -82,7 +81,6 @@ __all__ = [
     "QuotientCountReport",
     "RowSpec",
     "StatelabError",
-    "ThresholdLanguage",
     "TRUE",
     "UnsupportedError",
     "UsageError",

@@ -25,8 +25,12 @@ class BudgetExceeded(StatelabError):
     """A query-counting routine would exceed its membership-query budget."""
 
     def __init__(self, needed: int, budget: int):
+        try:
+            about = f"about {needed}"
+        except ValueError:  # past Python's int-to-str digit limit
+            about = f"at least 2^{needed.bit_length() - 1}"
         super().__init__(
-            f"operation needs about {needed} membership queries, budget is {budget}"
+            f"operation needs {about} membership queries, budget is {budget}"
         )
         self.needed = needed
         self.budget = budget

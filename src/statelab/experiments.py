@@ -26,7 +26,7 @@ from .automata import (
 from .errors import UsageError
 from .formulas import FALSE, TRUE, Atom, conj, disj, evaluate
 from .gallery import get_language, hierarchy_exponent
-from .prob import ThresholdLanguage, rabin_automaton, separate_quotients
+from .prob import rabin_automaton, separate_quotients
 from .primes import find_isolated_primes
 from .profiler import check_bound, profile
 from .quotients import (
@@ -110,7 +110,6 @@ def run_rabin_claim(n: int = 8, budget: int = DEFAULT_BUDGET) -> ExperimentRepor
     for length in range(1, n + 1):
         ledger.charge((1 << length) * ((1 << length) - 1))
     machine = rabin_automaton()
-    lang = ThresholdLanguage(machine)
     alpha = Alphabet("01")
     per_order = {}
     ok = True
@@ -122,7 +121,7 @@ def run_rabin_claim(n: int = 8, budget: int = DEFAULT_BUDGET) -> ExperimentRepor
         separated = 0
         for u, v in combinations(words, 2):
             s = separate_quotients(u, v)
-            if lang.member(s, prefix[u]) != lang.member(s, prefix[v]):
+            if machine.accepts(s, prefix[u]) != machine.accepts(s, prefix[v]):
                 separated += 1
         if separated < pairs:
             ok = False

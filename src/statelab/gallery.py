@@ -26,7 +26,7 @@ from .automata import AlternatingAutomaton
 from .errors import StatelabError
 from .formulas import FALSE, And, Atom, conj, disj
 from .primes import _TABLE, _TABLE_SIZE, is_prime
-from .prob import ProbAutomaton, ThresholdLanguage, bin_int, rabin_automaton
+from .prob import ProbAutomaton, bin_int, rabin_automaton
 from .quotients import LanguageOracle
 from .words import Alphabet
 
@@ -392,12 +392,12 @@ def maj2() -> LanguageSpec:
 
 
 # ---------------------------------------------------------------------------
-# rabin-half: the cut-point language of the bin-value machine
+# rabin-half: the bin-value machine's cut-point language, decided by its accepts
 
 def rabin_half() -> LanguageSpec:
     machine = rabin_automaton()
-    return _spec("rabin-half", machine.alphabet.letters,
-                 ThresholdLanguage(machine).member, prob_automaton=machine)
+    return _spec("rabin-half", machine.alphabet.letters, machine.accepts,
+                 prob_automaton=machine)
 
 
 # ---------------------------------------------------------------------------

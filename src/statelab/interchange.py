@@ -269,6 +269,8 @@ def _state_names(states: list) -> dict:
 def _layout(A, accepting) -> tuple:
     """State names, their sorted order, and the header lines both kinds share."""
     names = _state_names(A.states)
+    if A.initial not in names:
+        raise FormatError(f"initial state {A.initial!r} not declared")
     order = sorted(names.values())
     by_name = {names[q]: q for q in A.states}
     header = [
@@ -288,7 +290,12 @@ def serialize_automaton(A: AlternatingAutomaton) -> str:
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
-            body = format_formula(A.delta(q, a), name=lambda s: names[s])
+            formula = A.delta(q, a)
+            for target in atoms(formula):
+                if target not in names:
+                    raise FormatError(f"transition ({q!r}, {a!r}) mentions "
+                                      f"undeclared state {target!r}")
+            body = format_formula(formula, name=lambda s: names[s])
             lines.append(f"trans {n} {a} -> {body}")
     return "\n".join(lines) + "\n"
 
@@ -298,7 +305,13 @@ def serialize_prob_automaton(A: ProbAutomaton) -> str:
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
-            row = A.trans[(q, a)]
+            row = A.trans.get((q, a))
+            if row is None:
+                raise FormatError(f"missing transition for ({q!r}, {a!r})")
+            for target in row:
+                if target not in names:
+                    raise FormatError(f"ptrans ({q!r}, {a!r}) targets "
+                                      f"undeclared state {target!r}")
             cells = " ".join(
                 f"{names[t]}:{p.numerator}/{p.denominator}"
                 for t, p in sorted(row.items(), key=lambda kv: names[kv[0]])

@@ -9,9 +9,9 @@ The star exhibit is the three-state machine over {0, 1, #} whose
 acceptance probability of a binary word u is its fractional binary
 value bin_frac(u) = u(0)/2^n + ... + u(n-1)/2, and whose value on
 u1#u2#...#uk is the product of the blocks' values. Distinct binary
-values therefore yield distinct left quotients of the cut-point
-language, and a short suffix built from a dyadic rational strictly
-between two values witnesses the difference.
+values yield distinct left quotients of its cut-point language (the
+words w with P(w) > 1/2, which ProbAutomaton.accepts decides), and a
+dyadic rational strictly between two values witnesses the difference.
 """
 
 from __future__ import annotations
@@ -148,20 +148,9 @@ class ProbAutomaton:
         dist = self.distribution(word, start)
         return sum((p for q, p in dist.items() if q in self.accepting), ZERO)
 
-
-class ThresholdLanguage:
-    """Cut-point language: member(w) iff P(w) > 1/2, strictly.
-
-    member(y, start) decides the word x + y from start = distribution(x).
-    """
-
-    def __init__(self, automaton: ProbAutomaton):
-        self.automaton = automaton
-
-    def member(self, word: str, start: Optional[Dict[State, Fraction]] = None) -> bool:
-        return self.automaton.acceptance_probability(word, start) > HALF
-
-    __call__ = member
+    def accepts(self, word: str, start: Optional[Dict[State, Fraction]] = None) -> bool:
+        """Cut-point membership, P(word) > 1/2 strictly; `start` as in distribution."""
+        return self.acceptance_probability(word, start) > HALF
 
 
 def rabin_automaton() -> ProbAutomaton:
@@ -236,5 +225,5 @@ def separate_quotients(u: str, v: str) -> str:
     # words as given; distinct binary words of one length differ in value
     top = 1 << len(u)
     lo1, hi1 = sorted(Fraction(bin_int(word) + top, 2 * top) for word in (u, v))
-    w = dyadic_witness(1 / (2 * hi1), min(ONE, 1 / (2 * lo1)))
+    w = dyadic_witness(1 / (2 * hi1), 1 / (2 * lo1))
     return "#" + w

@@ -581,3 +581,26 @@ def test_rabin_claim_takes_the_budget_flag(capsys):
     code, out, _ = run(capsys, "experiment", "rabin-claim", "--n", "2", "--budget", "14",
                        "--format", "csv")
     assert (code, out) == (0, "experiment,verdict\nrabin-claim,pass\n")
+
+
+@pytest.mark.parametrize("argv, power", [
+    (("experiment", "primes-linear", "--n", "100000"), 199998),
+    (("experiment", "primes-hs", "--n", "100000"), 100000),
+    (("quotients", "primes", "--order", "20000", "--witness", "1"), 20002),
+    (("query-table", "primes", "--order", "20000", "--rows-max", "1"), 20002),
+], ids=["primes-linear", "primes-hs", "quotients", "query-table"])
+def test_a_budget_refusal_past_the_int_to_str_limit_is_one_line(capsys, argv, power):
+    # these estimates have more digits than str(int) will write
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == (f"error: operation needs at least 2^{power} membership queries, "
+                   "budget is 100000000\n")
+
+
+def test_a_refusal_named_by_a_power_of_two_keeps_the_exact_estimate():
+    from statelab import BudgetExceeded
+
+    needed = (1 << 20000) + 1
+    refusal = BudgetExceeded(needed, 7)
+    assert (refusal.needed, refusal.budget) == (needed, 7)
+    assert str(refusal) == "operation needs at least 2^20000 membership queries, budget is 7"

@@ -11,7 +11,6 @@ from statelab import (
     BudgetExceeded,
     ProbAutomaton,
     StatelabError,
-    ThresholdLanguage,
     UsageError,
     get_language,
     query_table,
@@ -159,11 +158,11 @@ def test_rabin_claim_counts_the_pairs_the_whole_word_route_splits(monkeypatch, s
 
     monkeypatch.setattr(exps, "separate_quotients", separator)
     report = run_experiment("rabin-claim", n=5)
-    lang = ThresholdLanguage(rabin_automaton())
+    m = rabin_automaton()
     mixed = False
     for length in range(1, 6):
         words = Alphabet("01").words_of_length(length)
-        split = [lang.member(u + "1" + s) != lang.member(v + "1" + s)
+        split = [m.accepts(u + "1" + s) != m.accepts(v + "1" + s)
                  for u, v in combinations(words, 2) for s in [separator(u, v)]]
         assert report.measured["orders"][str(length)]["separated"] == sum(split)
         mixed = mixed or 0 < sum(split) < len(split)

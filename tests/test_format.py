@@ -309,3 +309,27 @@ def test_serializing_a_lazy_automaton_is_a_format_error():
     lazy = AlternatingAutomaton("a", 0, lambda q, a: Atom(q + 1), lambda q: q > 0)
     with pytest.raises(FormatError, match="declared finite state list"):
         serialize_automaton(lazy)
+
+
+def test_serializing_a_transition_to_an_undeclared_state_is_a_format_error():
+    stray = AlternatingAutomaton("a", 0, {(0, "a"): Atom(7)}, [0], states=[0])
+    with pytest.raises(FormatError, match=r"transition \(0, 'a'\) mentions undeclared state 7"):
+        serialize_automaton(stray)
+
+
+def test_serializing_an_undeclared_initial_state_is_a_format_error():
+    orphan = AlternatingAutomaton("a", "x", {("q", "a"): Atom("q")}, [], states=["q"])
+    with pytest.raises(FormatError, match="initial state 'x' not declared"):
+        serialize_automaton(orphan)
+
+
+def test_serializing_a_missing_prob_row_is_a_format_error():
+    partial = ProbAutomaton("01", ["q"], "q", {("q", "0"): {"q": 1}}, [])
+    with pytest.raises(FormatError, match=r"missing transition for \('q', '1'\)"):
+        serialize_prob_automaton(partial)
+
+
+def test_serializing_a_prob_row_to_an_undeclared_state_is_a_format_error():
+    leaky = ProbAutomaton("a", ["q"], "q", {("q", "a"): {"ghost": 1}}, [])
+    with pytest.raises(FormatError, match=r"ptrans \('q', 'a'\) targets undeclared state 'ghost'"):
+        serialize_prob_automaton(leaky)

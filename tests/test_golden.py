@@ -205,3 +205,11 @@ def test_gallery_equiv_report_bytes():
         "gallery-equiv", {}, 912,
         "eeb90560c3ba6126ad288d3e568850aa66a169153dbc4bbf892ed02340680b79",
     )
+
+
+def test_cli_experiment_all_json_bytes(capsys):
+    # every registered experiment at its default scale, as the CLI prints it
+    assert main(["experiment", "all", "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (
+        4951, "7def6397fc7b2615d7f075d0663c125c5ea176569ad1da85e7792dc762a13fd7")

@@ -11,7 +11,6 @@ from statelab import (
     Alphabet,
     ProbAutomaton,
     StatelabError,
-    ThresholdLanguage,
     UsageError,
     bin_frac,
     bin_int,
@@ -129,11 +128,10 @@ def test_multi_block_probability_is_a_product():
 
 
 def test_threshold_is_strict():
-    lang = ThresholdLanguage(rabin_automaton())
-    assert lang.member("11")       # 3/4 > 1/2
-    assert not lang.member("1")    # exactly 1/2
-    assert not lang.member("")     # 0
-    assert lang("11")
+    m = rabin_automaton()
+    assert m.accepts("11")       # 3/4 > 1/2
+    assert not m.accepts("1")    # exactly 1/2
+    assert not m.accepts("")     # 0
 
 
 def test_validate_stochastic_flags_problems():
@@ -217,14 +215,13 @@ block_words = st.text(alphabet="01#", max_size=10)
 @given(block_words, block_words)
 def test_a_run_continued_from_a_prefix_distribution_is_the_whole_run(x, y):
     m = rabin_automaton()
-    lang = ThresholdLanguage(m)
     start = m.distribution(x)
     before = dict(start)
     assert m.distribution(y, start) == m.distribution(x + y)
     assert start == before
     assert m.acceptance_probability(y, start) == m.acceptance_probability(x + y)
     assert start == before
-    assert lang.member(y, start) == lang.member(x + y) == lang(y, start)
+    assert m.accepts(y, start) == m.accepts(x + y)
     assert start == before
 
 
@@ -240,7 +237,7 @@ def test_a_continued_run_of_the_empty_word_is_a_copy_of_its_start():
 def test_a_continued_run_checks_its_suffix_like_a_whole_run():
     m = rabin_automaton()
     start = m.distribution("1")
-    for call in (m.distribution, m.acceptance_probability, ThresholdLanguage(m).member):
+    for call in (m.distribution, m.acceptance_probability, m.accepts):
         with pytest.raises(UsageError, match="letter '2' not in alphabet '01#'"):
             call("12", start)
     partial = ProbAutomaton("01", ["q", "r"], "q", {("q", "0"): {"r": 1}, ("r", "1"): {"r": 1}}, [])
@@ -314,21 +311,21 @@ def test_dyadic_witness_matches_brute_force_on_small_denominators():
 
 
 def test_separate_quotients_anchor_and_guarantee():
-    lang = ThresholdLanguage(rabin_automaton())
+    m = rabin_automaton()
     s = separate_quotients("0", "1")
     assert s == "#11"
-    assert lang.member("11" + s) != lang.member("01" + s)
+    assert m.accepts("11" + s) != m.accepts("01" + s)
 
 
 def test_separate_quotients_splits_all_short_pairs():
-    lang = ThresholdLanguage(rabin_automaton())
+    m = rabin_automaton()
     alpha = Alphabet("01")
     for n in (1, 2, 3, 4):
         words = list(alpha.words_of_length(n))
         for i, u in enumerate(words):
             for v in words[i + 1:]:
                 s = separate_quotients(u, v)
-                assert lang.member(u + "1" + s) != lang.member(v + "1" + s)
+                assert m.accepts(u + "1" + s) != m.accepts(v + "1" + s)
 
 
 def test_separate_quotients_input_validation():
