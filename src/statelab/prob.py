@@ -53,8 +53,9 @@ class ProbAutomaton:
     """Finite stochastic machine: per-letter row-stochastic matrices.
 
     trans maps (state, letter) to {target: probability}; omitted targets
-    are probability 0. Every weight is an int or a Fraction; any other
-    is refused at construction. Rows must sum to exactly 1
+    are probability 0. Every target is a declared state and every weight
+    is an int or a Fraction; anything else is refused at construction.
+    Rows must sum to exactly 1
     (validate_stochastic reports violations; the interchange loader
     enforces it).
     """
@@ -86,6 +87,8 @@ class ProbAutomaton:
                 raise StatelabError(f"row ({q!r}, {a!r}) reads a letter outside "
                                     f"alphabet {self.alphabet.letters!r}")
             for t, p in row.items():
+                if t not in declared:
+                    raise StatelabError(f"row ({q!r}, {a!r}) target {t!r} not in state list")
                 if not isinstance(p, (int, Fraction)):
                     raise StatelabError(f"row ({q!r}, {a!r}) gives {t!r} the inexact "
                                         f"weight {p!r}; weights are int or Fraction")
@@ -100,7 +103,6 @@ class ProbAutomaton:
     def validate_stochastic(self) -> List[str]:
         """Empty list when every row is a probability distribution."""
         problems = []
-        declared = set(self.states)
         for q in self.states:
             for a in self.alphabet:
                 row = self.trans.get((q, a))
@@ -109,8 +111,6 @@ class ProbAutomaton:
                     continue
                 total = ZERO
                 for t, p in row.items():
-                    if t not in declared:
-                        problems.append(f"({q!r}, {a!r}) targets unknown {t!r}")
                     if p < 0 or p > 1:
                         problems.append(f"({q!r}, {a!r}) -> {t!r} has weight {p}")
                     total += p
@@ -185,8 +185,9 @@ def rabin_automaton() -> ProbAutomaton:
     )
 
 
-def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
-    """Shortest binary word whose bin_frac lies strictly in (lo, hi).
+def _witness(lo_num: int, lo_den: int, hi_num: int, hi_den: int) -> str:
+    """Shortest binary word whose value lies strictly in
+    (lo_num/lo_den, hi_num/hi_den), for integer bounds already in range.
 
     At the minimal length k exactly one integer m has lo < m/2^k < hi:
     two such integers would bracket an even one, 2j, and j/2^(k-1) would
@@ -194,17 +195,21 @@ def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
     lo*2^k, written least significant bit first. Cost is linear in the
     answer's length rather than in the number of candidate words.
     """
+    k = 0
+    while True:
+        m = (lo_num << k) // lo_den + 1
+        if m * hi_den < hi_num << k:
+            return format(m, f"0{k}b")[::-1]
+        k += 1
+
+
+def dyadic_witness(lo: Fraction, hi: Fraction) -> str:
+    """Shortest binary word whose bin_frac lies strictly in (lo, hi)."""
     lo = Fraction(lo)
     hi = Fraction(hi)
     if not (0 <= lo < hi <= 1):
         raise StatelabError(f"need 0 <= lo < hi <= 1, got ({lo}, {hi})")
-    k = 0
-    while True:
-        scale = 1 << k
-        m = (lo.numerator * scale) // lo.denominator + 1
-        if m * hi.denominator < hi.numerator * scale:
-            return format(m, f"0{k}b")[::-1]
-        k += 1
+    return _witness(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
 
 
 def separate_quotients(u: str, v: str) -> str:
@@ -221,9 +226,10 @@ def separate_quotients(u: str, v: str) -> str:
         raise UsageError("words must have equal length")
     if u == v:
         raise UsageError("words must be distinct")
-    # the values of u + "1" and v + "1", read so that bin_int checks the
-    # words as given; distinct binary words of one length differ in value
+    # u + "1" and v + "1" have the values low/(2*top) < high/(2*top), read
+    # so that bin_int checks the words as given; distinct binary words of
+    # one length differ in value. The bounds 1/(2*hi) and 1/(2*lo) are then
+    # top/high and top/low, so the search runs on integers alone.
     top = 1 << len(u)
-    lo1, hi1 = sorted(Fraction(bin_int(word) + top, 2 * top) for word in (u, v))
-    w = dyadic_witness(1 / (2 * hi1), 1 / (2 * lo1))
-    return "#" + w
+    low, high = sorted((bin_int(u) + top, bin_int(v) + top))
+    return "#" + _witness(top, high, top, low)

@@ -10,6 +10,7 @@ run against the last one saved.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -27,6 +28,7 @@ from statelab import (  # noqa: E402
     get_language,
     query_table,
     run_experiment,
+    separate_quotients,
     split_depth,
 )
 from statelab.experiments import _subset_rows, random_automaton  # noqa: E402
@@ -105,3 +107,16 @@ def test_rabin_claim_at_n_6(benchmark):
     assert orders == {str(n): {"pairs": (1 << n) * ((1 << n) - 1) // 2,
                                "separated": (1 << n) * ((1 << n) - 1) // 2,
                                "distinct_quotients": 1 << n} for n in range(1, 7)}
+
+
+def _separate_all(pairs):
+    return [separate_quotients(u, v) for u, v in pairs]
+
+
+def test_separate_quotients_over_every_pair_up_to_length_7(benchmark):
+    # the separator search of rabin-claim at n = 7, without the machine runs
+    pairs = [pair for n in range(1, 8)
+             for pair in combinations(Alphabet("01").words_of_length(n), 2)]
+    suffixes = benchmark.pedantic(_separate_all, args=(pairs,), rounds=1, iterations=1)
+    assert len(suffixes) == 10_795
+    assert suffixes[0] == "#11" and max(map(len, suffixes)) == 10

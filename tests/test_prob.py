@@ -147,14 +147,14 @@ def test_validate_stochastic_flags_problems():
     problems = m.validate_stochastic()
     assert any("sum" in p for p in problems)
 
-    m2 = ProbAutomaton(
-        alpha,
-        ["q"],
-        "q",
-        {("q", "0"): good_row, ("q", "1"): {"ghost": Fraction(1)}},
-        {"q"},
-    )
-    assert any("ghost" in p for p in m2.validate_stochastic())
+    with pytest.raises(StatelabError, match=r"row \('q', '1'\) target 'ghost' not in state list"):
+        ProbAutomaton(
+            alpha,
+            ["q"],
+            "q",
+            {("q", "0"): good_row, ("q", "1"): {"ghost": Fraction(1)}},
+            {"q"},
+        )
 
     m3 = ProbAutomaton(alpha, ["q"], "q", {("q", "0"): good_row}, {"q"})
     assert any("missing" in p for p in m3.validate_stochastic())
@@ -326,6 +326,33 @@ def test_separate_quotients_splits_all_short_pairs():
             for v in words[i + 1:]:
                 s = separate_quotients(u, v)
                 assert m.accepts(u + "1" + s) != m.accepts(v + "1" + s)
+
+
+def _check_against_the_fraction_search(u, v):
+    # the separator as the Fraction search finds it, and the guarantee that
+    # its value lies strictly between the two bounds
+    lo1, hi1 = sorted(bin_frac(w + "1") for w in (u, v))
+    lo, hi = 1 / (2 * hi1), 1 / (2 * lo1)
+    s = separate_quotients(u, v)
+    assert s == "#" + dyadic_witness(lo, hi)
+    assert lo < bin_frac(s[1:]) < hi
+
+
+def test_separate_quotients_matches_the_fraction_search_up_to_length_7():
+    pairs = 0
+    for n in range(1, 8):
+        for u, v in combinations(Alphabet("01").words_of_length(n), 2):
+            _check_against_the_fraction_search(u, v)
+            _check_against_the_fraction_search(v, u)
+            pairs += 1
+    assert pairs == 10_795
+
+
+@settings(derandomize=True, max_examples=200)
+@given(st.integers(1, 20).flatmap(lambda n: st.lists(
+    st.text(alphabet="01", min_size=n, max_size=n), min_size=2, max_size=2, unique=True)))
+def test_separate_quotients_matches_the_fraction_search_up_to_length_20(pair):
+    _check_against_the_fraction_search(*pair)
 
 
 def test_separate_quotients_input_validation():
