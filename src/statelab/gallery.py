@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from .automata import AlternatingAutomaton
 from .errors import StatelabError
-from .formulas import FALSE, And, Atom, conj, disj
+from .formulas import FALSE, TRUE, And, Atom, conj, disj
 from .primes import _TABLE, _TABLE_SIZE, is_prime
 from .prob import ProbAutomaton, bin_int, rabin_automaton
 from .quotients import LanguageOracle
@@ -43,6 +43,11 @@ LEX_CONSTANT = 6
 HIER2_CONSTANT = 3
 COUNT_EQ3_CONSTANT = 9
 MAJ2_CONSTANT = 3
+# l-exp reaches 5*2^n - 1 - e(n) states by depth n, with e(n) = 2^((n+3)/2)
+# for odd n and 3*2^(n/2) for even n (checked to depth 16): every ("u", u)
+# with |u| <= n, ("skip", u) with |u| < n, and ("chk", u, i) with
+# |u| + 1 + i <= n and i <= |u|. The ratio to 2^n stays below 5.
+L_EXP_CONSTANT = 5
 
 
 @dataclass
@@ -207,6 +212,23 @@ def lexicographic() -> LanguageSpec:
 # ---------------------------------------------------------------------------
 # l-exp: u#u1#...#uk where some block read backwards equals u
 
+def _l_exp_delta(q, a):
+    # ("u", u) reads the first block; at each '#' a block either is
+    # skipped or is checked against u reversed, ("chk", u, i) having
+    # matched its first i letters with the last i letters of u
+    tag, u = q[0], q[1]
+    if a == "#":
+        if tag == "chk":
+            return TRUE if q[2] == len(u) else FALSE
+        return disj([Atom(("skip", u)), Atom(("chk", u, 0))])
+    if tag == "u":
+        return Atom(("u", u + a))
+    if tag == "skip":
+        return Atom(q)
+    i = q[2]
+    return Atom(("chk", u, i + 1)) if i < len(u) and a == u[-1 - i] else FALSE
+
+
 def l_exp() -> LanguageSpec:
     def member(w: str) -> bool:
         if "#" not in w:
@@ -215,7 +237,12 @@ def l_exp() -> LanguageSpec:
         u = parts[0]
         return any(p[::-1] == u for p in parts[1:])
 
-    return _spec("l-exp", "01#", member)
+    return _spec(
+        "l-exp", "01#", member,
+        (("u", ""), _l_exp_delta, lambda q: q[0] == "chk" and q[2] == len(q[1])),
+        declared_class=("2^n", L_EXP_CONSTANT),
+        validation_bound=9,
+    )
 
 
 # ---------------------------------------------------------------------------

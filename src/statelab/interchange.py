@@ -17,7 +17,7 @@ Every declared (state, letter) pair needs exactly one row.
 Both loaders read a document in one pass (`_parse`): each of the four
 headers once, each row's body by its own parser, then every symbol
 against the declared alphabet and states. The loaders add only their
-own row checks (formula atoms; ptrans targets and stochastic rows).
+own row checks (formula atoms; a ptrans target listed twice; stochastic rows).
 Every fault, a bad alphabet included, is a FormatError.
 
 Formula grammar: atom | T | F | (f) | f & f | f | f, where '&' binds
@@ -235,19 +235,18 @@ def load_automaton(text: str, name: str = "loaded") -> AlternatingAutomaton:
 def load_prob_automaton(text: str, name: str = "loaded") -> ProbAutomaton:
     """Parse the probabilistic variant; validates stochasticity on load."""
     alphabet, states, initial, accepting, rows = _parse(text, "ptrans")
-    declared = set(states)
     table = {}
     for (state, letter), entries in rows.items():
-        seen = set()
-        for target, _ in entries:
-            if target not in declared:
-                raise FormatError(f"ptrans ({state}, {letter}) targets "
-                                  f"undeclared state {target!r}")
-            if target in seen:
+        row = table[state, letter] = {}
+        for target, p in entries:
+            # a dict would keep the last weight without a word
+            if target in row:
                 raise FormatError(f"ptrans ({state}, {letter}) lists {target!r} twice")
-            seen.add(target)
-        table[(state, letter)] = dict(entries)
-    A = ProbAutomaton(alphabet, states, initial, table, accepting, name=name)
+            row[target] = p
+    try:
+        A = ProbAutomaton(alphabet, states, initial, table, accepting, name=name)
+    except StatelabError as exc:
+        raise FormatError(str(exc)) from None
     problems = A.validate_stochastic()
     if problems:
         raise FormatError("not stochastic: " + "; ".join(problems))
@@ -305,13 +304,10 @@ def serialize_prob_automaton(A: ProbAutomaton) -> str:
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
-            row = A.trans.get((q, a))
+            row = A.rows[a].get(q)
             if row is None:
                 raise FormatError(f"missing transition for ({q!r}, {a!r})")
-            cells = " ".join(
-                f"{names[t]}:{p.numerator}/{p.denominator}"
-                for t, p in sorted(row.items(), key=lambda kv: names[kv[0]])
-                if p != 0
-            )
+            cells = " ".join(f"{names[t]}:{p.numerator}/{p.denominator}"
+                             for t, p in sorted(row, key=lambda tp: names[tp[0]]))
             lines.append(f"ptrans {n} {a} -> {cells}")
     return "\n".join(lines) + "\n"

@@ -1,9 +1,9 @@
 """Probabilistic automata with exact rational arithmetic.
 
-Everything in this module is a fractions.Fraction; floating point is
-deliberately absent because the experiments compare acceptance
-probabilities against the cut point 1/2 exactly, often with values one
-dyadic step away from it.
+A machine keeps one matrix, its sparse rows, and every mass it reads is
+an int or a Fraction on a declared state; floating point is deliberately
+absent because the experiments compare acceptance probabilities against
+the cut point 1/2 exactly, often with values one dyadic step away from it.
 
 The star exhibit is the three-state machine over {0, 1, #} whose
 acceptance probability of a binary word u is its fractional binary
@@ -52,12 +52,12 @@ def bin_frac(word: str) -> Fraction:
 class ProbAutomaton:
     """Finite stochastic machine: per-letter row-stochastic matrices.
 
-    trans maps (state, letter) to {target: probability}; omitted targets
-    are probability 0. Every target is a declared state and every weight
-    is an int or a Fraction; anything else is refused at construction.
-    Rows must sum to exactly 1
-    (validate_stochastic reports violations; the interchange loader
-    enforces it).
+    trans maps (state, letter) to {target: probability} and is kept only
+    as `rows`, letter -> source -> ((target, weight), ...) without zero
+    weights: the one matrix that runs, checks and serializers read. Every
+    mass, in a row or in a run's `start`, is an int or a Fraction on a
+    declared state, else StatelabError. Rows must sum to exactly 1
+    (validate_stochastic reports violations; the loader enforces it).
     """
 
     def __init__(
@@ -72,30 +72,33 @@ class ProbAutomaton:
         self.alphabet = alphabet if isinstance(alphabet, Alphabet) else Alphabet(alphabet)
         self.states = list(states)
         self.initial = initial
-        self.trans = {key: dict(row) for key, row in trans.items()}
         self.accepting = frozenset(accepting)
         self.name = name
-        if initial not in self.states:
+        self._declared = set(self.states)
+        if initial not in self._declared:
             raise StatelabError(f"initial state {initial!r} not in state list")
-        declared = set(self.states)
-        # Sparse per-letter adjacency: letter -> {source: [(target, p), ...]}
-        self._rows: Dict[str, Dict[State, list]] = {a: {} for a in self.alphabet}
-        for (q, a), row in self.trans.items():
-            if q not in declared:
+        self.rows: Dict[str, Dict[State, tuple]] = {a: {} for a in self.alphabet}
+        for (q, a), row in trans.items():
+            if q not in self._declared:
                 raise StatelabError(f"row source {q!r} not in state list")
-            if a not in self._rows:
+            if a not in self.rows:
                 raise StatelabError(f"row ({q!r}, {a!r}) reads a letter outside "
                                     f"alphabet {self.alphabet.letters!r}")
-            for t, p in row.items():
-                if t not in declared:
-                    raise StatelabError(f"row ({q!r}, {a!r}) target {t!r} not in state list")
-                if not isinstance(p, (int, Fraction)):
-                    raise StatelabError(f"row ({q!r}, {a!r}) gives {t!r} the inexact "
-                                        f"weight {p!r}; weights are int or Fraction")
-            self._rows[a][q] = [(t, p) for t, p in row.items() if p != 0]
+            row = self._masses(f"row ({q!r}, {a!r})", row)
+            self.rows[a][q] = tuple((t, p) for t, p in row.items() if p != 0)
         for q in self.accepting:
-            if q not in declared:
+            if q not in self._declared:
                 raise StatelabError(f"accepting state {q!r} not in state list")
+
+    def _masses(self, where: str, masses: Dict[State, Fraction]) -> Dict[State, Fraction]:
+        """A copy of `masses`, every one an int or a Fraction on a declared state."""
+        for t, p in masses.items():
+            if t not in self._declared:
+                raise StatelabError(f"{where} target {t!r} not in state list")
+            if not isinstance(p, (int, Fraction)):
+                raise StatelabError(f"{where} gives {t!r} the inexact weight {p!r}; "
+                                    "weights are int or Fraction")
+        return dict(masses)
 
     def __repr__(self) -> str:
         return f"<ProbAutomaton {self.name!r} over {self.alphabet.letters!r}>"
@@ -105,12 +108,12 @@ class ProbAutomaton:
         problems = []
         for q in self.states:
             for a in self.alphabet:
-                row = self.trans.get((q, a))
+                row = self.rows[a].get(q)
                 if row is None:
                     problems.append(f"missing row ({q!r}, {a!r})")
                     continue
                 total = ZERO
-                for t, p in row.items():
+                for t, p in row:
                     if p < 0 or p > 1:
                         problems.append(f"({q!r}, {a!r}) -> {t!r} has weight {p}")
                     total += p
@@ -123,14 +126,15 @@ class ProbAutomaton:
         """State distribution after reading word from the initial state, or
         from the distribution `start` when one is given.
 
-        `start` is left unchanged and the result is a new dict, so a run
-        continued from distribution(x) gives exactly distribution(x + y):
-        one prefix can be run once and shared by many suffixes.
+        `start` is checked like a row, before any letter is read, and left
+        unchanged; the result is a new dict, so a run continued from
+        distribution(x) gives exactly distribution(x + y): one prefix can
+        be run once and shared by many suffixes.
         """
         self.alphabet.check_word(word)
-        dist = {self.initial: ONE} if start is None else dict(start)
+        dist = {self.initial: ONE} if start is None else self._masses("start", start)
         for ch in word:
-            rows = self._rows[ch]
+            rows = self.rows[ch]
             nxt: Dict[State, Fraction] = {}
             for q, mass in dist.items():
                 row = rows.get(q)
@@ -162,18 +166,16 @@ def rabin_automaton() -> ProbAutomaton:
     machine scaled by the value accumulated so far, giving the block
     product identity.
     """
-    h = HALF
-    one = ONE
     trans = {
-        ("q0", "0"): {"q0": one},
-        ("q0", "1"): {"q0": h, "q1": h},
-        ("q0", "#"): {"dead": one},
-        ("q1", "0"): {"q0": h, "q1": h},
-        ("q1", "1"): {"q1": one},
-        ("q1", "#"): {"q0": one},
-        ("dead", "0"): {"dead": one},
-        ("dead", "1"): {"dead": one},
-        ("dead", "#"): {"dead": one},
+        ("q0", "0"): {"q0": ONE},
+        ("q0", "1"): {"q0": HALF, "q1": HALF},
+        ("q0", "#"): {"dead": ONE},
+        ("q1", "0"): {"q0": HALF, "q1": HALF},
+        ("q1", "1"): {"q1": ONE},
+        ("q1", "#"): {"q0": ONE},
+        ("dead", "0"): {"dead": ONE},
+        ("dead", "1"): {"dead": ONE},
+        ("dead", "#"): {"dead": ONE},
     }
     return ProbAutomaton(
         alphabet="01#",

@@ -550,6 +550,18 @@ def test_prob_eval_of_a_file(tmp_path, capsys):
     assert (code, out.strip()) == (0, "3/4")
 
 
+def test_prob_eval_of_a_file_with_an_undeclared_target_exits_2_in_the_machines_words(
+        tmp_path, capsys):
+    from statelab import rabin_automaton, serialize_prob_automaton
+
+    path = tmp_path / "ghost.pa"
+    text = serialize_prob_automaton(rabin_automaton())
+    path.write_text(text.replace("q1 1 -> q1:1/1", "q1 1 -> ghost:1/1"), encoding="utf-8")
+    code, out, err = run(capsys, "prob", "eval", str(path), "11")
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: row ('q1', '1') target 'ghost' not in state list\n"
+
+
 @pytest.mark.parametrize("line,replacement,message", [
     ("alphabet: a b", "alphabet: a b\nalphabet: a b", "line 2: duplicate alphabet line"),
     ("trans q0 a -> q1", "trans q0 a => q1", "expected '->' after the letter"),

@@ -288,8 +288,9 @@ MALFORMED = [
      "expected '<num>/<den>' probability, got '\u0661/\u0661'"),
     ("empty-distribution", load_prob_automaton, "ptrans q1 a -> q1:1/1", "ptrans q1 a ->",
      "empty distribution"),
+    # the machine's own refusal, in its words, turned into a FormatError
     ("undeclared-ptrans-target", load_prob_automaton, "q1:1/1", "q9:1/1",
-     "ptrans (q1, a) targets undeclared state 'q9'"),
+     "row ('q1', 'a') target 'q9' not in state list"),
     ("ptrans-target-twice", load_prob_automaton, "q0:1/2 q1:1/2", "q1:1/2 q1:1/2",
      "ptrans (q0, a) lists 'q1' twice"),
 ]

@@ -195,7 +195,29 @@ def test_declared_classes_present_where_promised():
     assert get_language("lex").declared_class == ("n", 6)
     assert get_language("maj2").declared_class == ("n", 3)
     assert get_language("l-hier:2").declared_class == ("n^3", 3)
-    assert get_language("l-exp").declared_class is None
+    assert get_language("l-exp").declared_class == ("2^n", 5)
+
+
+def test_l_exp_automaton_agrees_with_its_oracle_on_every_word_to_length_9():
+    spec = get_language("l-exp")
+    assert spec.validation_bound == 9
+    words = list(spec.alphabet.words_up_to(9))
+    assert len(words) == 29_524
+    accepted = spec.automaton.accepts_up_to(9)
+    assert [w for w, a in zip(words, accepted) if a != spec.oracle(w)] == []
+
+
+def test_l_exp_reachable_counts_follow_their_closed_form():
+    # 5*2^n - 1 - e(n): ("u", u) for |u| <= n, ("skip", u) for |u| < n, and
+    # ("chk", u, i) for |u| + 1 + i <= n and i <= |u|
+    def e(n):
+        return 2 ** ((n + 3) // 2) if n % 2 else 3 * 2 ** (n // 2)
+
+    counts = get_language("l-exp").automaton.reachable_counts(16)
+    assert counts == [5 * 2**n - 1 - e(n) for n in range(17)]
+    assert counts[:4] == [1, 5, 13, 31]
+    cls, constant = get_language("l-exp").declared_class
+    assert check_bound(ComplexityProfile("l-exp", counts), cls, constant).passed
 
 
 def test_specs_carry_consistent_alphabets():

@@ -3,10 +3,12 @@
 The experiment reports are pinned by length and sha256 of their canonical
 JSON (the claims make them long); the smaller reports, the interchange
 text and the CLI output are pinned verbatim. A change to any of these bytes is a change to the
-published results and needs its own justification.
+published results and needs its own justification. Every pinned JSON
+payload is also walked for floats, which no report may hold.
 """
 
 import hashlib
+import json
 from collections import deque
 
 import pytest
@@ -33,6 +35,29 @@ from statelab import (
 )
 from statelab.cli import main
 
+
+def assert_no_float(text):
+    """Walk every JSON line of `text`, however deeply nested, and fail on
+    any float: ratios and probabilities are exact strings, counts ints."""
+    for line in text.splitlines():
+        stack = [json.loads(line)]
+        while stack:
+            value = stack.pop()
+            assert not isinstance(value, float), (value, line)
+            if isinstance(value, dict):
+                stack.extend(value.values())
+            elif isinstance(value, list):
+                stack.extend(value)
+
+
+@pytest.mark.parametrize("text", ['{"a":[1,{"b":[0.5]}]}', '{"a":1.0}', '[NaN]',
+                                  '{"a":{"b":1e3}}'])
+def test_the_float_guard_finds_a_float_anywhere(text):
+    with pytest.raises(AssertionError):
+        assert_no_float(text)
+    assert_no_float('{"a":[1,{"b":["1/2",true,null]}]}')
+
+
 EXPERIMENT_DIGESTS = [
     ("exp-alt", {"n": 1}, 379,
      "71bc3424554a394a5532cbf0861dfaa0277143207aea8e96549382383e697efc"),
@@ -57,6 +82,7 @@ def test_experiment_report_bytes(exp_id, overrides, length, digest):
     text = run_experiment(exp_id, **overrides).to_json()
     actual = (len(text), hashlib.sha256(text.encode("utf-8")).hexdigest())
     assert actual == (length, digest), text
+    assert_no_float(text)
 
 
 def test_rabin_claim_report_bytes_at_the_benchmark_order():
@@ -87,6 +113,7 @@ def test_primes_report_bytes_at_benchmark_scale(exp_id, overrides, length, diges
 def test_complexity_profile_bytes():
     prof = profile(get_language("maj2").automaton, 4)
     assert prof.to_json() == '{"automaton":"maj2","counts":[1,3,5,7,9]}'
+    assert_no_float(prof.to_json())
 
 
 def test_bound_check_bytes():
@@ -94,6 +121,7 @@ def test_bound_check_bytes():
     assert check.to_json() == (
         '{"class":"n^2","constant":1,"failures":[2],"max_ratio":"7/4","passed":false}'
     )
+    assert_no_float(check.to_json())
 
 
 def test_quotient_count_report_bytes():
@@ -102,6 +130,7 @@ def test_quotient_count_report_bytes():
         '{"count":4,"language":"count-eq3","order":1,'
         '"representatives":["","a","b","c"],"witness_bound":3}'
     )
+    assert_no_float(report.to_json())
 
 
 def test_query_table_report_bytes():
@@ -113,14 +142,17 @@ def test_query_table_report_bytes():
         '"representatives":["","#0","#1","#0#1"],'
         '"row_spec":{"kind":"explicit","rows":["","#0","#1","#0#1"]}}'
     )
+    assert_no_float(report.to_json())
 
 
 def test_cli_profile_json_bytes(capsys):
     assert main(["profile", "maj2", "4", "--format", "json"]) == 0
-    assert capsys.readouterr().out == (
+    out = capsys.readouterr().out
+    assert out == (
         '{"automaton":"maj2","bound":{"class":"n","constant":3,"failures":[],'
         '"max_ratio":"3","passed":true},"profile":[1,3,5,7,9]}\n'
     )
+    assert_no_float(out)
 
 
 def test_serialize_prob_automaton_bytes():
@@ -213,3 +245,5 @@ def test_cli_experiment_all_json_bytes(capsys):
     out = capsys.readouterr().out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (
         4951, "7def6397fc7b2615d7f075d0663c125c5ea176569ad1da85e7792dc762a13fd7")
+    assert len(out.splitlines()) == 7
+    assert_no_float(out.decode("utf-8"))

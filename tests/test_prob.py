@@ -18,6 +18,7 @@ from statelab import (
     get_language,
     rabin_automaton,
     separate_quotients,
+    serialize_prob_automaton,
 )
 
 binary_words = st.text(alphabet="01", max_size=12)
@@ -247,6 +248,51 @@ def test_a_continued_run_checks_its_suffix_like_a_whole_run():
     with pytest.raises(StatelabError, match=r"missing row \('q', '1'\)"):
         partial.acceptance_probability("1", {"q": 1})
     assert partial.distribution("1", start) == {"r": 1}
+
+
+def test_serializer_and_validate_stochastic_read_the_rows_the_machine_runs():
+    # one matrix: a zero weight is no edge for the run, the check or the text
+    rows = {("q", "0"): {"q": Fraction(1), "r": 0},
+            ("q", "1"): {"q": Fraction(1, 2), "r": Fraction(1, 2)},
+            ("r", "0"): {"q": 0, "r": 1}, ("r", "1"): {"q": 0, "r": 0}}
+    m = ProbAutomaton("01", ["q", "r"], "q", rows, ["r"])
+    assert m.rows["0"] == {"q": (("q", 1),), "r": (("r", 1),)}
+    assert m.rows["1"]["r"] == ()
+    assert m.distribution("0") == {"q": 1}
+    # the all-zero row keeps no edge, so its mass is lost, and the check says so
+    assert m.distribution("11") == {"q": Fraction(1, 4), "r": Fraction(1, 4)}
+    assert m.validate_stochastic() == ["row ('r', '1') sums to 0"]
+    assert serialize_prob_automaton(m).splitlines()[-4:-1] == [
+        "ptrans q 0 -> q:1/1",
+        "ptrans q 1 -> q:1/2 r:1/2",
+        "ptrans r 0 -> r:1/1",
+    ]
+    assert not hasattr(m, "trans")
+
+
+class _Unread(str):
+    """A word that fails the test if any letter of it is read."""
+
+    def __iter__(self):
+        raise AssertionError("a letter was read")
+
+
+@pytest.mark.parametrize("start,message", [
+    ({"q1": 0.6}, r"start gives 'q1' the inexact weight 0\.6; weights are int or Fraction"),
+    ({"q0": Decimal("0.5"), "q1": Fraction(1, 2)}, r"start gives 'q0' the inexact weight"),
+    ({"q1": "1/2"}, r"start gives 'q1' the inexact weight '1/2'"),
+    ({"q1": None}, r"start gives 'q1' the inexact weight None"),
+    ({"ghost": 1}, r"start target 'ghost' not in state list"),
+    ({"q0": Fraction(1, 2), "ghost": Fraction(1, 2)}, r"start target 'ghost' not in state list"),
+], ids=["float", "decimal", "str", "none", "undeclared", "undeclared-beside-a-good-mass"])
+@pytest.mark.parametrize("word", ["", "1", "01#1"])
+def test_a_start_mass_is_refused_before_any_letter_is_read(start, message, word):
+    m = rabin_automaton()
+    before = dict(start)
+    for call in (m.distribution, m.acceptance_probability, m.accepts):
+        with pytest.raises(StatelabError, match=message):
+            call(_Unread(word), start)
+    assert start == before
 
 
 def test_dyadic_witness_anchors():
