@@ -5,25 +5,25 @@ code mapping (state, letter) to a positive boolean formula over states,
 so the state space may be infinite as long as every finite-depth
 reachable fragment is finite.
 
-Acceptance has two routes, chosen per automaton. One that declares at
-most FOLD_STATE_LIMIT states compiles, on its first accepts() call, the
-lattice tables sat[a]: X -> {q : X satisfies delta(q, a)} on bitmasks
-of its states, and decides a word by the right fold
+Every acceptance route asks which states accept a suffix. Over numbered
+states that set is one bitmask, and one function, _holding, computes the
+step: Acc(eps) = F, and Acc(a.s) holds q iff delta(q, a) holds under
+Acc(s). An automaton that declares its states reads its table once, on
+its first accepts() call (_compile), and decides a word by the right fold
 
-    X = F;  for a in reversed(w): X = sat[a][X];  accept iff q0 in X.
+    X = F;  for a in reversed(w): X = Acc_a(X);  accept iff q0 in X,
 
-One whose tables determinize_finite has already built folds as well.
-Every other automaton, the lazy gallery ones included, uses the
-memoized backward value recursion (backward_accepts)
+memoizing the step per (letter, mask): one _holding call per distinct
+pair a word reaches, nothing exponential in |Q|. Every other automaton,
+the lazy gallery ones included, and a declared one whose table cannot be
+read, uses the memoized backward value recursion (backward_accepts)
 
     value(q, |w|) = F(q)
     value(q, i)   = eval(delta(q, w(i)), p -> value(p, i+1))
 
-accepts_up_to(n) decides every word up to length n at once, by the
-same right fold over the reachable fragment: with the states of
-reachable(n) numbered in breadth-first order, the set of states that
-accept a suffix is one bitmask, computed once per distinct (letter,
-mask) pair of each length and shared by every word ending in it.
+accepts_up_to(n) runs the same fold over reachable(n) numbered in
+breadth-first order; determinize_finite tabulates the step on all 2^|Q|
+subsets.
 
 All of them coincide with the two-player acceptance game (Eve resolves
 ORs, Adam resolves ANDs, Eve wins iff the play ends accepting); the
@@ -33,9 +33,7 @@ evaluation on small instances.
 delta() memoizes transitions for the routes that read them again.
 backward_accepts also memoizes, per (q, a), the states delta(q, a)
 names, and builds its forward layers from them; its backward pass and
-game-tree play read the transition memo directly. The lattice tables
-are built once per automaton, by whichever of accepts() and
-determinize_finite() asks first.
+game-tree play read the transition memo directly.
 
 The reachable-state search expands each (state, letter) pair once, so
 it asks the transition function directly and leaves the memo alone. Most
@@ -48,8 +46,7 @@ check and atoms().
 
 from __future__ import annotations
 
-from functools import partial, reduce
-from operator import and_, or_
+from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import KindError, StatelabError
@@ -67,11 +64,6 @@ from .words import Alphabet, _mask
 
 State = Hashable
 
-# Largest declared state set that accepts() compiles lattice tables for.
-# The build evaluates 2^|Q| * |Q| * |A| subset memberships, about 2 ms at
-# 8 states and 2 letters (Python 3.11); random test automata have 1-5.
-FOLD_STATE_LIMIT = 8
-
 # Largest declared state set determinize_finite accepts. Its tables hold
 # 2^|Q| subsets per letter and every result state is a 2^|Q|-bit mask.
 DETERMINIZE_STATE_LIMIT = 12
@@ -88,9 +80,9 @@ class AlternatingAutomaton:
     when given it declares the full (finite) state set, which is what
     enables determinization and serialization. Automata are immutable
     after construction; the only internal mutations are the transition
-    memo cache, the successor memo of backward_accepts and the lattice
-    tables built on the first accepts() or determinize_finite() call,
-    none of which changes results.
+    memo cache, the successor memo of backward_accepts and the compiled
+    table with its fold memos built on the first accepts() call, none of
+    which changes results.
     """
 
     def __init__(
@@ -112,9 +104,8 @@ class AlternatingAutomaton:
         self._cache: dict = {}
         # (q, a) -> the states delta(q, a) names, for backward_accepts
         self._successors: dict = {}
-        self._fold_pending = (self.states is not None
-                              and len(self.states) <= FOLD_STATE_LIMIT)
-        self._tables: Optional[tuple] = None
+        self._fold_pending = self.states is not None
+        self._fold: Optional[tuple] = None
 
     def __repr__(self) -> str:
         return f"<AlternatingAutomaton {self.name!r} over {self.alphabet.letters!r}>"
@@ -135,11 +126,11 @@ class AlternatingAutomaton:
         return bool(self._accepting_fn(q))
 
     def accepts(self, word: str) -> bool:
-        """Membership by the lattice fold when compiled, else backward_accepts."""
+        """Membership by the right fold over the declared states, else backward_accepts."""
         if self._fold_pending:
             self._fold_pending = False
             try:
-                _lattice(self)
+                self._fold = _compile(self)
             except Exception:
                 # Any failure (a missing transition, an atom outside the
                 # declared states, a delta or accepting function that
@@ -147,13 +138,17 @@ class AlternatingAutomaton:
                 # which raises it where it always has: on the words whose
                 # runs reach the fault, and on no other word.
                 pass
-        if self._tables is None:
+        if self._fold is None:
             return backward_accepts(self, word)
         self.alphabet.check_word(word)
-        sat, X, initial = self._tables
+        index, rows, X, initial, memos = self._fold
         for a in reversed(word):
-            X = sat[a][X]
-        return bool(initial >> X & 1)
+            memo = memos[a]
+            Y = memo.get(X)
+            if Y is None:
+                Y = memo[X] = _holding(rows[a], index, X)
+            X = Y
+        return bool(X & initial)
 
     def reachable(self, n: int) -> set:
         """States reachable through formula atoms by words of length <= n."""
@@ -338,50 +333,28 @@ def game_tree_accepts(A: AlternatingAutomaton, word: str) -> bool:
     return formula(delta(A.initial, word[0]), 0)
 
 
-def _lattice(A: AlternatingAutomaton) -> tuple:
-    """(sat, accepting, initial) over A's declared states.
+def _compile(A: AlternatingAutomaton) -> tuple:
+    """(index, rows, accepting, initial, memos) of A's declared table.
 
-    Bit i of a subset mask X stands for A.states[i]. sat[a][X] is the
-    mask of the states whose transition formula on a holds when exactly
-    the states in X are true, `accepting` is the mask of the accepting
-    states and `initial` the 2^|Q|-bit set of the subsets that hold the
-    initial state. Each formula is evaluated on all 2^|Q| subsets at
-    once, as the 2^|Q|-bit set of the subsets that satisfy it, so every
-    atom is checked against the declared states. The tables are built
-    once and kept on A; a build that raises keeps nothing.
+    index numbers A.states in declared order, rows[a] lists delta(q, a)
+    in that order with every atom checked against the declared states,
+    accepting is the mask of the accepting states, initial the initial
+    state's bit, and memos[a] an empty step memo X -> _holding(rows[a],
+    index, X) for the fold.
     """
-    if A._tables is not None:
-        return A._tables
     states = A.states
     index = {q: i for i, q in enumerate(states)}
     if A.initial not in index:
         raise StatelabError(f"initial state {A.initial!r} is not a declared state")
-    nsub = 1 << len(states)
-    every = (1 << nsub) - 1
-    # containing[i]: the subsets that contain state i
-    containing = [_mask(lambda X: X >> i & 1, range(nsub)) for i in range(len(states))]
-
-    def satisfying(f: Formula) -> int:
-        if f is TRUE:
-            return every
-        if f is FALSE:
-            return 0
-        if isinstance(f, Atom):
-            if f.state not in index:
-                raise StatelabError(f"no truth value for atom {f.state!r}")
-            return containing[index[f.state]]
-        if isinstance(f, And):
-            return reduce(and_, map(satisfying, f.children))
-        if isinstance(f, Or):
-            return reduce(or_, map(satisfying, f.children))
-        raise StatelabError(f"not a formula: {f!r}")
-
-    sat = {}
+    rows = {}
     for a in A.alphabet:
-        rows = [satisfying(A.delta(q, a)) for q in states]
-        sat[a] = [_mask(lambda row: row >> X & 1, rows) for X in range(nsub)]
-    A._tables = sat, _mask(A.state_accepting, states), containing[index[A.initial]]
-    return A._tables
+        row = rows[a] = [A.delta(q, a) for q in states]
+        for f in row:
+            for p in atoms(f):
+                if p not in index:
+                    raise StatelabError(f"no truth value for atom {p!r}")
+    memos = {a: {} for a in A.alphabet}
+    return index, rows, _mask(A.state_accepting, states), 1 << index[A.initial], memos
 
 
 def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
@@ -390,10 +363,10 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
     States of the result are monotone boolean functions over subsets of
     A's states, encoded as bitmask ints: bit X of g says whether the
     subset X satisfies g's formula. Reading a letter precomposes with
-    the lattice map X -> {q : X satisfies delta(q, a)}. The result has
-    at most 2^(2^|Q|) states; only the reachable part is built. A with
-    more than DETERMINIZE_STATE_LIMIT states is refused before any
-    table is built.
+    the step X -> {q : X satisfies delta(q, a)}, tabulated by _holding
+    on all 2^|Q| subsets. The result has at most 2^(2^|Q|) states; only
+    the reachable part is built. A with more than DETERMINIZE_STATE_LIMIT
+    states is refused before any transition is read.
     """
     if A.states is None:
         raise KindError(
@@ -404,7 +377,11 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
             f"determinization is limited to {DETERMINIZE_STATE_LIMIT} states, "
             f"got {len(A.states)}"
         )
-    sat, f_mask, g0 = _lattice(A)
+    index, rows, f_mask, initial, _ = _compile(A)
+    subsets = range(1 << len(A.states))
+    sat = {a: [_holding(rows[a], index, X) for X in subsets] for a in A.alphabet}
+    # bit X of g0: the subset X holds the initial state
+    g0 = _mask(lambda X: X & initial, subsets)
 
     def step(g: int, a: str) -> int:
         # bit X of the result is bit sat[a][X] of g

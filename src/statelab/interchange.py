@@ -247,10 +247,16 @@ def load_prob_automaton(text: str, name: str = "loaded") -> ProbAutomaton:
         A = ProbAutomaton(alphabet, states, initial, table, accepting, name=name)
     except StatelabError as exc:
         raise FormatError(str(exc)) from None
+    _check_stochastic(A)
+    return A
+
+
+def _check_stochastic(A: ProbAutomaton) -> None:
+    """FormatError unless every row is a probability distribution: the one
+    row rule of the prob loader and the prob serializer."""
     problems = A.validate_stochastic()
     if problems:
         raise FormatError("not stochastic: " + "; ".join(problems))
-    return A
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +273,9 @@ def _state_names(states: list) -> dict:
 
 def _layout(A, accepting) -> tuple:
     """State names, their sorted order, and the header lines both kinds share."""
+    for a in A.alphabet:
+        if a.isspace():
+            raise FormatError(f"letter {a!r} is whitespace, which the format cannot write")
     names = _state_names(A.states)
     if A.initial not in names:
         raise FormatError(f"initial state {A.initial!r} not declared")
@@ -289,8 +298,12 @@ def serialize_automaton(A: AlternatingAutomaton) -> str:
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
-            formula = A.delta(q, a)
-            for target in atoms(formula):
+            try:
+                formula = A.delta(q, a)
+                targets = list(atoms(formula))
+            except StatelabError as exc:  # a missing entry, a node that is no formula
+                raise FormatError(str(exc)) from None
+            for target in targets:
                 if target not in names:
                     raise FormatError(f"transition ({q!r}, {a!r}) mentions "
                                       f"undeclared state {target!r}")
@@ -300,13 +313,13 @@ def serialize_automaton(A: AlternatingAutomaton) -> str:
 
 
 def serialize_prob_automaton(A: ProbAutomaton) -> str:
+    """Canonical text form of a stochastic machine: sorted states, sorted rows."""
     names, order, by_name, lines = _layout(A, A.accepting.__contains__)
+    _check_stochastic(A)
     for n in order:
         q = by_name[n]
         for a in A.alphabet:
-            row = A.rows[a].get(q)
-            if row is None:
-                raise FormatError(f"missing transition for ({q!r}, {a!r})")
+            row = A.rows[a][q]
             cells = " ".join(f"{names[t]}:{p.numerator}/{p.denominator}"
                              for t, p in sorted(row, key=lambda tp: names[tp[0]]))
             lines.append(f"ptrans {n} {a} -> {cells}")

@@ -86,7 +86,7 @@ def _check_length(n: int) -> None:
 
 def _mask(holds: Callable, items: Iterable) -> int:
     """Bit i set iff holds(items[i]): the one bit layout of every membership
-    table row, from quotient signatures and profiles to lattice tables."""
+    table row, from quotient signatures and profiles to the fold's state masks."""
     mask = 0
     bit = 1
     for x in items:

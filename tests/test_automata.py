@@ -24,7 +24,7 @@ from statelab import (
     profile,
 )
 from statelab import automata
-from statelab.automata import DETERMINIZE_STATE_LIMIT, FOLD_STATE_LIMIT
+from statelab.automata import DETERMINIZE_STATE_LIMIT
 from statelab.experiments import random_automaton
 
 
@@ -243,12 +243,11 @@ def test_fold_compiles_every_transition_once():
     assert sorted(asked) == sorted(table)
 
 
-@pytest.mark.parametrize("declared", [False, True], ids=["lazy", "above-cap"])
-def test_undeclared_and_large_automata_take_the_backward_route(declared):
-    n = FOLD_STATE_LIMIT + 1
+def test_an_undeclared_automaton_takes_the_backward_route():
+    n = 9
     table = {(q, a): Atom((q + 1) % n if a == "a" else q) for q in range(n) for a in "ab"}
     delta, asked = _counting(table)
-    m = AlternatingAutomaton("ab", 0, delta, {1}, states=range(n) if declared else None)
+    m = AlternatingAutomaton("ab", 0, delta, {1})
     assert m.accepts("a")
     assert not m.accepts("b")
     # only the transitions on the words' runs are ever asked for
@@ -257,15 +256,33 @@ def test_undeclared_and_large_automata_take_the_backward_route(declared):
         assert m.accepts(w) == backward_accepts(m, w) == game_tree_accepts(m, w)
 
 
-def test_an_automaton_above_the_cap_folds_once_determinize_built_its_tables(monkeypatch):
-    n = FOLD_STATE_LIMIT + 2
+def test_a_ten_state_automaton_folds_without_determinize_or_the_backward_route(monkeypatch):
+    n = 10
     table = {(q, a): Or((Atom((q + 1) % n), Atom(q))) if a == "a" else Atom((q * 3) % n)
              for q in range(n) for a in "ab"}
     m = AlternatingAutomaton("ab", 0, table, {n - 1}, states=range(n))
     want = [game_tree_accepts(m, w) for w in m.alphabet.words_up_to(5)]
-    determinize_finite(m)
     monkeypatch.setattr(automata, "backward_accepts", lambda *args: pytest.fail("backward"))
+    monkeypatch.setattr(automata, "determinize_finite", lambda *args: pytest.fail("determinize"))
     assert [m.accepts(w) for w in m.alphabet.words_up_to(5)] == want
+
+
+def test_a_repeated_word_makes_no_new_fold_step(monkeypatch):
+    holding = automata._holding
+    calls = []
+    monkeypatch.setattr(automata, "_holding",
+                        lambda row, index, X: calls.append(X) or holding(row, index, X))
+    m = small_alternating_automaton()
+    for w in ("abba", "bab", "abba", ""):
+        expected = game_tree_accepts(m, w)
+        before = len(calls)
+        assert m.accepts(w) == expected
+        # at most one step per letter, and none the memo already holds
+        assert len(calls) - before <= len(w)
+        made = len(calls)
+        assert m.accepts(w) == expected
+        assert len(calls) == made, w
+    assert calls
 
 
 def test_missing_transition_raises_only_where_the_run_reaches_it():
@@ -379,7 +396,7 @@ def test_accepts_up_to_matches_accepts_on_random_automata(seed, declared):
     A = random_automaton(random.Random(seed))
     trans = {(q, a): A.delta(q, a) for q in A.states for a in "ab"}
     accepting = {q for q in A.states if A.state_accepting(q)}
-    # declared: accepts folds over lattice tables; undeclared: backward recursion
+    # declared: accepts folds over the declared table; undeclared: backward recursion
     m = AlternatingAutomaton("ab", 0, trans, accepting, states=A.states if declared else None)
     assert m.accepts_up_to(5) == [m.accepts(w) for w in m.alphabet.words_up_to(5)]
 

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statelab import (
+    FALSE,
+    TRUE,
     AlternatingAutomaton,
     Atom,
     FormatError,
@@ -195,7 +197,7 @@ def test_declared_automata_survive_pickling(build, warm):
     m = build()
     words = list(m.alphabet.words_up_to(5))
     if warm:
-        # fills the transition memo and the lattice tables before pickling
+        # fills the transition memo and the fold memos before pickling
         for w in words:
             m.accepts(w)
     clone = pickle.loads(pickle.dumps(m))
@@ -327,8 +329,48 @@ def test_serializing_an_undeclared_initial_state_is_a_format_error():
 
 def test_serializing_a_missing_prob_row_is_a_format_error():
     partial = ProbAutomaton("01", ["q"], "q", {("q", "0"): {"q": 1}}, [])
-    with pytest.raises(FormatError, match=r"missing transition for \('q', '1'\)"):
+    with pytest.raises(FormatError, match=r"^not stochastic: missing row \('q', '1'\)$"):
         serialize_prob_automaton(partial)
+
+
+@pytest.mark.parametrize("row,problem", [
+    ({"q": 0}, r"row \('q', 'a'\) sums to 0"),
+    ({"q": Fraction(1, 2)}, r"row \('q', 'a'\) sums to 1/2"),
+    ({"q": Fraction(3, 2), "r": Fraction(-1, 2)}, r"\('q', 'a'\) -> 'q' has weight 3/2"),
+], ids=["all-zero", "half", "negative"])
+def test_the_prob_serializer_refuses_what_the_loader_refuses(row, problem):
+    m = ProbAutomaton("a", ["q", "r"], "q", {("q", "a"): row, ("r", "a"): {"r": 1}}, [])
+    with pytest.raises(FormatError, match="^not stochastic: " + problem):
+        serialize_prob_automaton(m)
+
+
+def test_the_prob_serializer_and_loader_refuse_a_row_in_the_same_words():
+    short = ProbAutomaton("a", ["q0", "q1"], "q0",
+                          {("q0", "a"): {"q0": Fraction(1, 2)}, ("q1", "a"): {"q1": 1}}, ["q1"])
+    with pytest.raises(FormatError) as written:
+        serialize_prob_automaton(short)
+    with pytest.raises(FormatError) as loaded:
+        load_prob_automaton(PROB_DOC.replace("q0:1/2 q1:1/2", "q0:1/2"))
+    assert str(written.value) == str(loaded.value) == "not stochastic: row ('q0', 'a') sums to 1/2"
+
+
+@pytest.mark.parametrize("table,message", [
+    ({(0, "a"): Atom(0)}, r"^no transition declared for \(0, 'b'\)$"),
+    ({(0, "a"): Atom(0), (0, "b"): "junk"}, r"^delta\(0, 'b'\) is not a formula: 'junk'$"),
+    ({(0, "a"): Atom(0), (0, "b"): conj([Atom(0), "junk"])}, r"^not a formula: 'junk'$"),
+], ids=["missing", "not-a-formula", "nested-junk"])
+def test_serializing_a_faulty_transition_is_a_format_error(table, message):
+    m = AlternatingAutomaton("ab", 0, table, [0], states=[0])
+    with pytest.raises(FormatError, match=message):
+        serialize_automaton(m)
+
+
+def test_serializers_refuse_a_whitespace_letter():
+    alt = AlternatingAutomaton("a ", 0, {(0, "a"): Atom(0), (0, " "): Atom(0)}, [0], states=[0])
+    prob = ProbAutomaton("a ", [0], 0, {(0, "a"): {0: 1}, (0, " "): {0: 1}}, [0])
+    for serialize, m in ((serialize_automaton, alt), (serialize_prob_automaton, prob)):
+        with pytest.raises(FormatError, match=r"^letter ' ' is whitespace"):
+            serialize(m)
 
 
 def test_a_prob_row_to_an_undeclared_state_is_refused_before_serializing():
@@ -336,3 +378,79 @@ def test_a_prob_row_to_an_undeclared_state_is_refused_before_serializing():
     with pytest.raises(StatelabError, match=r"row \('q', 'a'\) target 'ghost' not in state list") as exc:
         ProbAutomaton("a", ["q"], "q", {("q", "a"): {"ghost": 1}}, [])
     assert type(exc.value) is StatelabError
+
+
+# ---------------------------------------------------------------------------
+# round trip: a serializer either refuses a machine or writes text that
+# loads back to the same machine
+
+def _formulas(states):
+    # built by conj/disj, so a loaded formula equals the one written
+    leaves = st.sampled_from(states).map(Atom) | st.sampled_from([TRUE, FALSE])
+    return st.recursive(
+        leaves,
+        lambda kids: (st.lists(kids, min_size=2, max_size=3).map(conj)
+                      | st.lists(kids, min_size=2, max_size=3).map(disj)),
+        max_leaves=5)
+
+
+def _distributions(states):
+    # zero weights included
+    counts = st.dictionaries(st.sampled_from(states), st.integers(0, 3), min_size=1)
+    return counts.filter(lambda d: sum(d.values()) > 0).map(
+        lambda d: {t: Fraction(k, sum(d.values())) for t, k in d.items()})
+
+
+def _any_weights(states):
+    # all-zero rows, rows that do not sum to 1, weights outside [0, 1]
+    weights = [0, Fraction(1, 4), Fraction(1, 2), 1, Fraction(3, 2), Fraction(-1, 2)]
+    return st.dictionaries(st.sampled_from(states), st.sampled_from(weights), max_size=3)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_a_serializer_refuses_a_machine_or_writes_one_that_loads_back(data):
+    letters = "".join(data.draw(st.lists(st.sampled_from("ab#"), min_size=1, max_size=3,
+                                         unique=True), label="letters"))
+    # ' ' is a letter the format cannot write
+    whitespace = data.draw(st.booleans(), label="whitespace letter")
+    letters += " " * whitespace
+    states = data.draw(st.lists(st.sampled_from(["p", "q", "r"]), min_size=1, max_size=3,
+                                unique=True), label="states")
+    initial = data.draw(st.sampled_from(states), label="initial")
+    accepting = data.draw(st.sets(st.sampled_from(states)), label="accepting")
+    prob = data.draw(st.booleans(), label="prob")
+    pairs = [(q, a) for q in states for a in letters]
+    # at most one row breaks the rules: it is left out, or has any weights
+    odd = data.draw(st.none() | st.sampled_from(pairs), label="odd row")
+    bodies, odd_bodies = ((_distributions(states), _any_weights(states)) if prob
+                          else (_formulas(states), st.nothing()))
+    table = {}
+    for pair in pairs:
+        row = data.draw(st.none() | odd_bodies if pair == odd else bodies, label=f"row {pair}")
+        if row is not None:
+            table[pair] = row
+    if prob:
+        m = ProbAutomaton(letters, states, initial, table, accepting)
+        faulty = whitespace or bool(m.validate_stochastic())
+        serialize, load = serialize_prob_automaton, load_prob_automaton
+    else:
+        m = AlternatingAutomaton(letters, initial, table, accepting, states=states)
+        faulty = whitespace or len(table) < len(pairs)
+        serialize, load = serialize_automaton, load_automaton
+    try:
+        text = serialize(m)
+    except FormatError:
+        assert faulty
+        return
+    assert not faulty
+    loaded = load(text)
+    assert serialize(loaded) == text
+    assert loaded.alphabet == m.alphabet and loaded.initial == m.initial
+    assert sorted(loaded.states) == sorted(m.states)
+    if prob:
+        assert loaded.accepting == m.accepting
+        assert ({a: {q: dict(row) for q, row in rows.items()} for a, rows in loaded.rows.items()}
+                == {a: {q: dict(row) for q, row in rows.items()} for a, rows in m.rows.items()})
+    else:
+        assert loaded.accepts_up_to(4) == m.accepts_up_to(4)

@@ -18,11 +18,13 @@ pytest.importorskip("pytest_benchmark")
 
 from statelab import (  # noqa: E402
     Alphabet,
+    AlternatingAutomaton,
     Atom,
     Budget,
     RowSpec,
     backward_accepts,
     count_quotients,
+    determinize_finite,
     find_isolated_primes,
     game_tree_accepts,
     get_language,
@@ -96,6 +98,40 @@ def test_backward_and_game_tree_routes_on_300_random_automata(benchmark):
     answers = benchmark.pedantic(_both_routes, args=(automata, words), rounds=1, iterations=1)
     assert len(answers) == 300 * 63
     assert all(b == g for b, g in answers) and sum(b for b, _ in answers) == 10_112
+
+
+def _fresh_copies(automata):
+    """Declared copies of `automata` with nothing compiled and empty memos."""
+    return [AlternatingAutomaton(A.alphabet, A.initial,
+                                 {(q, a): A.delta(q, a) for q in A.states for a in A.alphabet},
+                                 [q for q in A.states if A.state_accepting(q)], states=A.states)
+            for A in automata]
+
+
+def _fold(automata, words):
+    return [A.accepts(w) for A in automata for w in words]
+
+
+def test_fold_on_300_random_automata(benchmark):
+    # accepts on declared automata: one table read and one fold memo per
+    # automaton, timed from fresh copies
+    rng = random.Random(0)
+    automata = [random_automaton(rng) for _ in range(300)]
+    words = list(Alphabet("ab").words_up_to(5))
+    answers = benchmark.pedantic(_fold, setup=lambda: ((_fresh_copies(automata), words), {}),
+                                 rounds=1, iterations=1)
+    assert len(answers) == 300 * 63 and sum(answers) == 10_112
+
+
+def _determinize_all(automata):
+    return [determinize_finite(A) for A in automata]
+
+
+def test_determinize_finite_on_300_random_automata(benchmark):
+    rng = random.Random(0)
+    automata = [random_automaton(rng) for _ in range(300)]
+    results = benchmark.pedantic(_determinize_all, args=(automata,), rounds=1, iterations=1)
+    assert sum(len(D.states) for D in results) == 1700
 
 
 def test_rabin_claim_at_n_6(benchmark):

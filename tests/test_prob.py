@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from statelab import (
     Alphabet,
+    FormatError,
     ProbAutomaton,
     StatelabError,
     UsageError,
@@ -262,10 +263,16 @@ def test_serializer_and_validate_stochastic_read_the_rows_the_machine_runs():
     # the all-zero row keeps no edge, so its mass is lost, and the check says so
     assert m.distribution("11") == {"q": Fraction(1, 4), "r": Fraction(1, 4)}
     assert m.validate_stochastic() == ["row ('r', '1') sums to 0"]
-    assert serialize_prob_automaton(m).splitlines()[-4:-1] == [
+    # the serializer reads the same check, and writes no zero weight
+    with pytest.raises(FormatError, match=r"^not stochastic: row \('r', '1'\) sums to 0$"):
+        serialize_prob_automaton(m)
+    rows[("r", "1")] = {"q": 0, "r": 1}
+    fixed = ProbAutomaton("01", ["q", "r"], "q", rows, ["r"])
+    assert serialize_prob_automaton(fixed).splitlines()[-4:] == [
         "ptrans q 0 -> q:1/1",
         "ptrans q 1 -> q:1/2 r:1/2",
         "ptrans r 0 -> r:1/1",
+        "ptrans r 1 -> r:1/1",
     ]
     assert not hasattr(m, "trans")
 
