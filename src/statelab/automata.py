@@ -22,8 +22,8 @@ read, uses the memoized backward value recursion (backward_accepts)
     value(q, i)   = eval(delta(q, w(i)), p -> value(p, i+1))
 
 accepts_up_to(n) runs the same fold over reachable(n) numbered in
-breadth-first order; determinize_finite tabulates the step on all 2^|Q|
-subsets.
+breadth-first order. determinize_finite needs no step over masks: it
+substitutes the rows into minimal clauses instead.
 
 All of them coincide with the two-player acceptance game (Eve resolves
 ORs, Adam resolves ANDs, Eve wins iff the play ends accepting); the
@@ -46,7 +46,7 @@ check and atoms().
 
 from __future__ import annotations
 
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import KindError, StatelabError
@@ -63,10 +63,6 @@ from .formulas import (
 from .words import Alphabet, _mask
 
 State = Hashable
-
-# Largest declared state set determinize_finite accepts. Its tables hold
-# 2^|Q| subsets per letter and every result state is a 2^|Q|-bit mask.
-DETERMINIZE_STATE_LIMIT = 12
 
 # Most result states determinize_finite builds before it refuses A.
 DETERMINIZE_STATE_CAP = 1_000_000
@@ -360,36 +356,29 @@ def _compile(A: AlternatingAutomaton) -> tuple:
 def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
     """Language-equivalent deterministic automaton, testing oracle only.
 
-    States of the result are monotone boolean functions over subsets of
-    A's states, encoded as bitmask ints: bit X of g says whether the
-    subset X satisfies g's formula. Reading a letter precomposes with
-    the step X -> {q : X satisfies delta(q, a)}, tabulated by _holding
-    on all 2^|Q| subsets. The result has at most 2^(2^|Q|) states; only
-    the reachable part is built. A with more than DETERMINIZE_STATE_LIMIT
-    states is refused before any transition is read.
+    The state reached by u is phi_u, a monotone function over A's states:
+    phi_eps = q0 and phi_ua = phi_u[q := delta(q, a)], so u.s is accepted
+    iff phi_u holds of the states accepting s. phi_u is kept as its sorted
+    tuple of minimal clauses (int masks over the declared states), its
+    canonical form, and accepts iff a clause holds of accepting states
+    only. Only the reachable part is built. Rows shaped as ANDs of ORs
+    multiply out, so they can cost more than a table over all subsets.
     """
     if A.states is None:
         raise KindError(
             "determinization needs an automaton with a declared finite state list"
         )
-    if len(A.states) > DETERMINIZE_STATE_LIMIT:
-        raise StatelabError(
-            f"determinization is limited to {DETERMINIZE_STATE_LIMIT} states, "
-            f"got {len(A.states)}"
-        )
     index, rows, f_mask, initial, _ = _compile(A)
-    subsets = range(1 << len(A.states))
-    sat = {a: [_holding(rows[a], index, X) for X in subsets] for a in A.alphabet}
-    # bit X of g0: the subset X holds the initial state
-    g0 = _mask(lambda X: X & initial, subsets)
+    clauses = {a: [_clauses(f, index) for f in rows[a]] for a in A.alphabet}
 
-    def step(g: int, a: str) -> int:
-        # bit X of the result is bit sat[a][X] of g
-        return _mask(lambda Y: g >> Y & 1, sat[a])
+    def step(phi: tuple, a: str) -> tuple:
+        # phi[q := delta(q, a)]: each clause's states replaced by their rows, ANDed
+        return _minimal({c for clause in phi for c in
+                         _and(row for i, row in enumerate(clauses[a]) if clause >> i & 1)})
 
     trans = {}
-    discovered = [g0]
-    seen = {g0}
+    discovered = [(initial,)]
+    seen = set(discovered)
     # breadth first: the loop walks `discovered` while it grows
     for g in discovered:
         for a in A.alphabet:
@@ -405,9 +394,34 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
 
     return AlternatingAutomaton(
         alphabet=A.alphabet,
-        initial=g0,
+        initial=discovered[0],
         delta=trans,
-        accepting={g for g in discovered if g >> f_mask & 1},
+        accepting={g for g in discovered if any(c & f_mask == c for c in g)},
         states=discovered,
         name=f"det({A.name})",
     )
+
+
+def _minimal(clauses) -> tuple:
+    """The sorted clauses of `clauses` that contain no other clause."""
+    kept = []
+    for c in sorted(clauses, key=int.bit_count):
+        if all(k & c != k for k in kept):
+            kept.append(c)
+    return tuple(sorted(kept))
+
+
+def _and(parts) -> tuple:
+    """The minimal clauses of the AND of minimal clause sets, minimised product by product."""
+    return reduce(lambda xs, ys: ys if xs == (0,) else _minimal({x | y for x in xs for y in ys}),
+                  parts, (0,))
+
+
+def _clauses(f: Formula, index: Mapping) -> tuple:
+    """The minimal clauses of f, a checked formula over the states of `index`."""
+    if type(f) is Atom:
+        return (1 << index[f.state],)
+    if type(f) is And or type(f) is Or:
+        parts = [_clauses(c, index) for c in f.children]
+        return _minimal(set().union(*parts)) if type(f) is Or else _and(parts)
+    return (0,) if f is TRUE else ()

@@ -456,7 +456,7 @@ def run_core_crosscheck(seed: int = 0, count: int = 1000,
     for A in automata:
         D = determinize_finite(A)
         for w in words:
-            # the lattice fold, the backward recursion, game-tree play and
+            # the right fold, the backward recursion, game-tree play and
             # the determinized automaton: four independent routes
             a1 = A.accepts(w)
             if (a1 != backward_accepts(A, w) or a1 != game_tree_accepts(A, w)

@@ -122,6 +122,8 @@ def profile(A: AlternatingAutomaton, n_max: int) -> ComplexityProfile:
 
 
 def check_bound(p: ComplexityProfile, class_name: str, constant: int) -> BoundCheck:
+    if isinstance(constant, bool) or not isinstance(constant, int):
+        raise StatelabError(f"bound constant must be an int, got {constant!r}")
     if constant < 1:
         raise StatelabError(f"bound constant must be >= 1, got {constant}")
     f = bound_function(class_name)

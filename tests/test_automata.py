@@ -19,13 +19,13 @@ from statelab import (
     conj,
     determinize_finite,
     disj,
+    evaluate,
     game_tree_accepts,
     get_language,
     profile,
 )
 from statelab import automata
-from statelab.automata import DETERMINIZE_STATE_LIMIT
-from statelab.experiments import random_automaton
+from statelab.experiments import random_automaton, random_formula
 
 
 def even_zeros_automaton():
@@ -356,14 +356,101 @@ def test_backward_route_asks_and_faults_on_exactly_the_run_closure(seed, data):
             assert sorted(asked) == sorted(closure - memoized)
 
 
-def test_determinize_refuses_too_many_states_before_any_transition():
-    n = DETERMINIZE_STATE_LIMIT + 1
-    table = {(q, a): Atom(q) for q in range(n) for a in "ab"}
-    delta, asked = _counting(table)
-    m = AlternatingAutomaton("ab", 0, delta, {0}, states=range(n))
-    with pytest.raises(StatelabError, match=f"limited to {DETERMINIZE_STATE_LIMIT} states"):
-        determinize_finite(m)
-    assert asked == []
+def _breadth_first(initial, letters, step, accepting):
+    """(state count, {(i, a): j}, accepting numbers) of the deterministic
+    automaton from `initial`, its states numbered in discovery order."""
+    number = {initial: 0}
+    order = [initial]
+    trans = {}
+    for g in order:
+        for a in letters:
+            h = step(g, a)
+            if h not in number:
+                number[h] = len(order)
+                order.append(h)
+            trans[number[g], a] = number[h]
+    return len(order), trans, {number[g] for g in order if accepting(g)}
+
+
+def _truth_table_determinization(A):
+    """The subset construction over truth tables: bit X of a state says
+    whether the subset X of A's states (bit i for A.states[i]) satisfies
+    its monotone function, and reading a letter precomposes with
+    X -> {q : X satisfies delta(q, a)}, computed with evaluate."""
+    index = {q: i for i, q in enumerate(A.states)}
+    subsets = range(1 << len(A.states))
+    sat = {a: [sum(evaluate(A.delta(q, a), lambda p: X >> index[p] & 1) << index[q]
+                   for q in A.states) for X in subsets]
+           for a in A.alphabet}
+    initial = sum(1 << X for X in subsets if X >> index[A.initial] & 1)
+    f_mask = sum(1 << index[q] for q in A.states if A.state_accepting(q))
+    return _breadth_first(
+        initial, A.alphabet,
+        lambda g, a: sum((g >> Y & 1) << X for X, Y in enumerate(sat[a])),
+        lambda g: g >> f_mask & 1)
+
+
+def _numbered(D):
+    """determinize_finite's result in the form of _breadth_first."""
+    def step(g, a):
+        f = D.delta(g, a)
+        assert type(f) is Atom and f.state in D.states
+        return f.state
+
+    return _breadth_first(D.initial, D.alphabet, step, D.state_accepting)
+
+
+def _ten_state_automaton(seed):
+    rng = random.Random(seed)
+    states = list(range(10))
+    trans = {(q, a): random_formula(rng, states, 2) for q in states for a in "ab"}
+    accepting = [q for q in states if rng.random() < 0.5]
+    return AlternatingAutomaton("ab", 0, trans, accepting, states=states)
+
+
+def test_determinize_matches_the_truth_table_construction():
+    rng = random.Random(0)
+    cases = [random_automaton(rng) for _ in range(300)]
+    cases += [_ten_state_automaton(s) for s in range(20)]
+    for A in cases:
+        D = determinize_finite(A)
+        count, trans, accepting = _numbered(D)
+        assert count == len(D.states)
+        assert (count, trans, accepting) == _truth_table_determinization(A)
+
+
+def test_a_thirteen_state_automaton_determinizes():
+    n = 13
+    table = {(q, a): Or((Atom((q + 1) % n), Atom(q))) if a == "a" else Atom((q * 3) % n)
+             for q in range(n) for a in "ab"}
+    m = AlternatingAutomaton("ab", 0, table, {n - 1}, states=range(n))
+    d = determinize_finite(m)
+    for w in m.alphabet.words_up_to(5):
+        assert d.accepts(w) == game_tree_accepts(m, w), w
+
+
+def test_rows_shaped_as_conjunctions_of_disjunctions_determinize():
+    n = 10
+    table = {}
+    for q in range(n):
+        table[q, "a"] = And(tuple(Or((Atom((q + 2 * k) % n), Atom((q + 2 * k + 1) % n)))
+                                  for k in range(5)))
+        table[q, "b"] = Atom((q + 1) % n)
+    m = AlternatingAutomaton("ab", 0, table, {q for q in range(n) if q % 3 == 0},
+                             states=range(n))
+    d = determinize_finite(m)
+    assert len(d.states) == 13
+    for w in m.alphabet.words_up_to(6):
+        assert d.accepts(w) == backward_accepts(m, w), w
+
+
+def test_determinize_takes_no_fold_step(monkeypatch):
+    m = small_alternating_automaton()
+    monkeypatch.setattr(automata, "_holding", lambda *args: pytest.fail("_holding"))
+    d = determinize_finite(m)
+    monkeypatch.undo()
+    for w in m.alphabet.words_up_to(6):
+        assert d.accepts(w) == game_tree_accepts(m, w), w
 
 
 def test_determinize_refuses_more_result_states_than_the_cap(monkeypatch):

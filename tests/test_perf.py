@@ -33,7 +33,7 @@ from statelab import (  # noqa: E402
     separate_quotients,
     split_depth,
 )
-from statelab.experiments import _subset_rows, random_automaton  # noqa: E402
+from statelab.experiments import _subset_rows, random_automaton, random_formula  # noqa: E402
 
 ATOMS = 100_000
 
@@ -132,6 +132,20 @@ def test_determinize_finite_on_300_random_automata(benchmark):
     automata = [random_automaton(rng) for _ in range(300)]
     results = benchmark.pedantic(_determinize_all, args=(automata,), rounds=1, iterations=1)
     assert sum(len(D.states) for D in results) == 1700
+
+
+def _ten_state_automaton(seed):
+    rng = random.Random(seed)
+    states = list(range(10))
+    trans = {(q, a): random_formula(rng, states, 2) for q in states for a in "ab"}
+    accepting = [q for q in states if rng.random() < 0.5]
+    return AlternatingAutomaton("ab", 0, trans, accepting, states=states)
+
+
+def test_determinize_finite_on_20_ten_state_automata(benchmark):
+    automata = [_ten_state_automaton(s) for s in range(20)]
+    results = benchmark.pedantic(_determinize_all, args=(automata,), rounds=1, iterations=1)
+    assert sum(len(D.states) for D in results) == 1718
 
 
 def test_rabin_claim_at_n_6(benchmark):

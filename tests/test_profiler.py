@@ -40,6 +40,9 @@ def test_check_bound_rejects_a_constant_below_one():
     for bad in (0, -1):
         with pytest.raises(StatelabError, match=f"bound constant must be >= 1, got {bad}"):
             check_bound(prof, "n", bad)
+    for bad in (1.5, True):
+        with pytest.raises(StatelabError, match=f"bound constant must be an int, got {bad}"):
+            check_bound(prof, "n", bad)
 
 
 def test_profile_counts_and_name():
