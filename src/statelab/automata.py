@@ -8,15 +8,16 @@ reachable fragment is finite.
 Every acceptance route asks which states accept a suffix. Over numbered
 states that set is one bitmask, and one function, _holding, computes the
 step: Acc(eps) = F, and Acc(a.s) holds q iff delta(q, a) holds under
-Acc(s). An automaton that declares its states reads its table once, on
-its first accepts() call (_compile), and decides a word by the right fold
+Acc(s). An automaton that declares its states has its table checked
+once, on first use by any reader (_compile, through _table), and decides
+a word by the right fold
 
     X = F;  for a in reversed(w): X = Acc_a(X);  accept iff q0 in X,
 
 memoizing the step per (letter, mask): one _holding call per distinct
 pair a word reaches, nothing exponential in |Q|. Every other automaton,
-the lazy gallery ones included, and a declared one whose table cannot be
-read, uses the memoized backward value recursion (backward_accepts)
+the lazy gallery ones included, uses the memoized backward value
+recursion (backward_accepts)
 
     value(q, |w|) = F(q)
     value(q, i)   = eval(delta(q, w(i)), p -> value(p, i+1))
@@ -36,7 +37,7 @@ names, and builds its forward layers from them; its backward pass and
 game-tree play read the transition memo directly.
 
 The reachable-state search expands each (state, letter) pair once, so
-it asks the transition function directly and leaves the memo alone. Most
+it reads transitions unmemoized (_reader) and leaves the memo alone. Most
 transitions of the lazy gallery automata are a single Atom, so the
 search takes such a result inline (one seen-set test, no atoms()
 generator), gives TRUE and FALSE no successors, and sends only And and
@@ -74,11 +75,11 @@ class AlternatingAutomaton:
     delta may be a callable or a {(state, letter): formula} mapping;
     accepting may be a callable or a set of states. `states` is optional:
     when given it declares the full (finite) state set, which is what
-    enables determinization and serialization. Automata are immutable
-    after construction; the only internal mutations are the transition
-    memo cache, the successor memo of backward_accepts and the compiled
-    table with its fold memos built on the first accepts() call, none of
-    which changes results.
+    enables determinization and serialization, and has the whole table
+    checked on first use by any reader. Automata are immutable after
+    construction; the only internal mutations are the transition memo
+    cache, the successor memo of backward_accepts and the compiled table
+    with its fold memos, none of which changes results.
     """
 
     def __init__(
@@ -100,7 +101,7 @@ class AlternatingAutomaton:
         self._cache: dict = {}
         # (q, a) -> the states delta(q, a) names, for backward_accepts
         self._successors: dict = {}
-        self._fold_pending = self.states is not None
+        # _compile(self), built by _table on first use
         self._fold: Optional[tuple] = None
 
     def __repr__(self) -> str:
@@ -111,33 +112,32 @@ class AlternatingAutomaton:
         key = (q, a)
         f = self._cache.get(key)
         if f is None:
-            f = self._cache[key] = self._transition(q, a)
+            f = self._cache[key] = _checked(self._delta_fn(q, a), q, a)
         return f
 
-    def _transition(self, q: State, a: str) -> Formula:
-        """The transition formula of (q, a), checked but not memoized."""
-        return _checked(self._delta_fn(q, a), q, a)
+    def _table(self) -> tuple:
+        """_compile(self), built on the first call: the one check of a declared table."""
+        if self._fold is None:
+            self._fold = _compile(self)
+        return self._fold
+
+    def _reader(self) -> Callable[[State, str], Formula]:
+        """(q, a) -> delta(q, a), unmemoized: a declared table's compiled
+        row, else the transition function's own unchecked answer."""
+        if self.states is None:
+            return self._delta_fn
+        index, rows = self._table()[:2]
+        return lambda q, a: rows[a][index[q]]
 
     def state_accepting(self, q: State) -> bool:
         return bool(self._accepting_fn(q))
 
     def accepts(self, word: str) -> bool:
-        """Membership by the right fold over the declared states, else backward_accepts."""
-        if self._fold_pending:
-            self._fold_pending = False
-            try:
-                self._fold = _compile(self)
-            except Exception:
-                # Any failure (a missing transition, an atom outside the
-                # declared states, a delta or accepting function that
-                # raises) leaves the automaton on the backward recursion,
-                # which raises it where it always has: on the words whose
-                # runs reach the fault, and on no other word.
-                pass
-        if self._fold is None:
+        """Membership by the right fold over a declared table, else backward_accepts."""
+        if self.states is None:
             return backward_accepts(self, word)
+        index, rows, X, initial, memos = self._table()
         self.alphabet.check_word(word)
-        index, rows, X, initial, memos = self._fold
         for a in reversed(word):
             memo = memos[a]
             Y = memo.get(X)
@@ -171,7 +171,8 @@ class AlternatingAutomaton:
         index = {q: i for i, q in enumerate(order)}
         # the transitions out of reachable(n - 1), the only ones a word reads
         expanded = order[:counts[n - 1]] if n else []
-        rows = {a: [self._transition(q, a) for q in expanded] for a in self.alphabet}
+        read = self._reader()
+        rows = {a: [_checked(read(q, a), q, a) for q in expanded] for a in self.alphabet}
         layer = [_mask(self.state_accepting, order)]
         accepted = [bool(layer[0] & 1)]
         for k in range(1, n + 1):
@@ -193,14 +194,14 @@ class AlternatingAutomaton:
         """(reachable(n) in discovery order, its size after each layer).
 
         Breadth first; each (q, a) is expanded once, so the transitions
-        are asked of the transition function directly and stay out of the
-        memo. A bare Atom result is taken inline and the constants have
-        no successors; anything else is checked as a formula and walked
-        by atoms(), in the same discovery order.
+        are read by _reader and stay out of the memo. A bare Atom result
+        is taken inline and the constants have no successors; anything
+        else is checked as a formula and walked by atoms(), in the same
+        discovery order.
         """
         if n < 0:
             raise StatelabError("depth must be >= 0")
-        delta = self._delta_fn
+        delta = self._reader()
         letters = tuple(self.alphabet)
         seen = {self.initial}
         order = [self.initial]
@@ -336,19 +337,20 @@ def _compile(A: AlternatingAutomaton) -> tuple:
     in that order with every atom checked against the declared states,
     accepting is the mask of the accepting states, initial the initial
     state's bit, and memos[a] an empty step memo X -> _holding(rows[a],
-    index, X) for the fold.
+    index, X) for the fold. The only check of a declared table: every
+    reader of one takes its verdict through A._table().
     """
     states = A.states
     index = {q: i for i, q in enumerate(states)}
     if A.initial not in index:
-        raise StatelabError(f"initial state {A.initial!r} is not a declared state")
+        raise StatelabError(f"initial state {A.initial!r} not in state list")
     rows = {}
     for a in A.alphabet:
         row = rows[a] = [A.delta(q, a) for q in states]
-        for f in row:
+        for q, f in zip(states, row):
             for p in atoms(f):
                 if p not in index:
-                    raise StatelabError(f"no truth value for atom {p!r}")
+                    raise StatelabError(f"row ({q!r}, {a!r}) target {p!r} not in state list")
     memos = {a: {} for a in A.alphabet}
     return index, rows, _mask(A.state_accepting, states), 1 << index[A.initial], memos
 
@@ -368,7 +370,7 @@ def determinize_finite(A: AlternatingAutomaton) -> AlternatingAutomaton:
         raise KindError(
             "determinization needs an automaton with a declared finite state list"
         )
-    index, rows, f_mask, initial, _ = _compile(A)
+    index, rows, f_mask, initial, _ = A._table()
     clauses = {a: [_clauses(f, index) for f in rows[a]] for a in A.alphabet}
 
     def step(phi: tuple, a: str) -> tuple:

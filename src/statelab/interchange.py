@@ -16,8 +16,10 @@ Every declared (state, letter) pair needs exactly one row.
 
 Both loaders read a document in one pass (`_parse`): each of the four
 headers once, each row's body by its own parser, then every symbol
-against the declared alphabet and states. The loaders add only their
-own row checks (formula atoms; a ptrans target listed twice; stochastic rows).
+against the declared alphabet and states. The machine then refuses an
+undeclared initial state and a row target outside the state list, in its
+own words, for the loader and the serializer alike. The loaders add only
+their own row checks (a ptrans target listed twice; stochastic rows).
 Every fault, a bad alphabet included, is a FormatError.
 
 Formula grammar: atom | T | F | (f) | f & f | f | f, where '&' binds
@@ -33,7 +35,7 @@ from typing import List, Optional, Tuple
 
 from .automata import AlternatingAutomaton
 from .errors import FormatError, StatelabError
-from .formulas import FALSE, TRUE, Atom, Formula, atoms, conj, disj, format_formula
+from .formulas import FALSE, TRUE, Atom, Formula, conj, disj, format_formula
 from .prob import ProbAutomaton
 from .words import Alphabet
 
@@ -203,8 +205,6 @@ def _parse(text: str, keyword: str) -> tuple:
     declared = set(states)
     if len(declared) != len(states):
         raise FormatError("states: has duplicates")
-    if initial not in declared:
-        raise FormatError(f"initial state {initial!r} not declared")
     for s in accepting:
         if s not in declared:
             raise FormatError(f"accepting state {s!r} not declared")
@@ -223,13 +223,17 @@ def _parse(text: str, keyword: str) -> tuple:
 def load_automaton(text: str, name: str = "loaded") -> AlternatingAutomaton:
     """Parse the interchange format into a finite alternating automaton."""
     alphabet, states, initial, accepting, rows = _parse(text, "trans")
-    declared = set(states)
-    for (state, letter), formula in rows.items():
-        for target in atoms(formula):
-            if target not in declared:
-                raise FormatError(f"transition ({state}, {letter}) mentions "
-                                  f"undeclared state {target!r}")
-    return AlternatingAutomaton(alphabet, initial, rows, accepting, states=states, name=name)
+    A = AlternatingAutomaton(alphabet, initial, rows, accepting, states=states, name=name)
+    _compiled(A)
+    return A
+
+
+def _compiled(A: AlternatingAutomaton) -> tuple:
+    """The machine's one check of its declared table; a refusal is a FormatError."""
+    try:
+        return A._table()
+    except StatelabError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def load_prob_automaton(text: str, name: str = "loaded") -> ProbAutomaton:
@@ -277,8 +281,6 @@ def _layout(A, accepting) -> tuple:
         if a.isspace():
             raise FormatError(f"letter {a!r} is whitespace, which the format cannot write")
     names = _state_names(A.states)
-    if A.initial not in names:
-        raise FormatError(f"initial state {A.initial!r} not declared")
     order = sorted(names.values())
     by_name = {names[q]: q for q in A.states}
     header = [
@@ -294,20 +296,12 @@ def serialize_automaton(A: AlternatingAutomaton) -> str:
     """Canonical text form: sorted states, sorted rows, minimal parens."""
     if A.states is None:
         raise FormatError("serialization needs a declared finite state list")
+    index, rows = _compiled(A)[:2]
     names, order, by_name, lines = _layout(A, A.state_accepting)
     for n in order:
-        q = by_name[n]
+        i = index[by_name[n]]
         for a in A.alphabet:
-            try:
-                formula = A.delta(q, a)
-                targets = list(atoms(formula))
-            except StatelabError as exc:  # a missing entry, a node that is no formula
-                raise FormatError(str(exc)) from None
-            for target in targets:
-                if target not in names:
-                    raise FormatError(f"transition ({q!r}, {a!r}) mentions "
-                                      f"undeclared state {target!r}")
-            body = format_formula(formula, name=lambda s: names[s])
+            body = format_formula(rows[a][i], name=names.__getitem__)
             lines.append(f"trans {n} {a} -> {body}")
     return "\n".join(lines) + "\n"
 

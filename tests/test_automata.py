@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 
@@ -11,6 +13,7 @@ from statelab import (
     AlternatingAutomaton,
     And,
     Atom,
+    FormatError,
     KindError,
     Or,
     StatelabError,
@@ -22,7 +25,9 @@ from statelab import (
     evaluate,
     game_tree_accepts,
     get_language,
+    load_automaton,
     profile,
+    serialize_automaton,
 )
 from statelab import automata
 from statelab.experiments import random_automaton, random_formula
@@ -183,10 +188,11 @@ def test_determinize_requires_declared_states():
 
 def test_determinize_refuses_an_undeclared_initial_state():
     m = AlternatingAutomaton("ab", "x", {(0, "a"): Atom(0), (0, "b"): Atom(0)}, [0], states=[0])
-    with pytest.raises(StatelabError, match="^initial state 'x' is not a declared state$"):
+    with pytest.raises(StatelabError, match="^initial state 'x' not in state list$"):
         determinize_finite(m)
-    # the fold cannot be built either, so accepts answers by the backward route
-    assert m.accepts("") is False
+    # accepts takes the same verdict on the same table
+    with pytest.raises(StatelabError, match="^initial state 'x' not in state list$"):
+        m.accepts("")
 
 
 def test_determinize_refuses_a_node_that_is_no_formula():
@@ -194,8 +200,9 @@ def test_determinize_refuses_a_node_that_is_no_formula():
                              [0], states=[0])
     with pytest.raises(StatelabError, match="^not a formula: 'junk'$"):
         determinize_finite(m)
-    # the backward route never reads (0, 'a') on "b"
-    assert m.accepts("b") is True
+    # the run of "b" never reads (0, 'a'), but the table is checked as a whole
+    with pytest.raises(StatelabError, match="^not a formula: 'junk'$"):
+        m.accepts("b")
 
 
 def test_game_tree_play_refuses_a_node_that_is_no_formula():
@@ -287,24 +294,32 @@ def test_a_repeated_word_makes_no_new_fold_step(monkeypatch):
 
 def test_missing_transition_raises_only_where_the_run_reaches_it():
     trans = {(0, "a"): Atom(1), (0, "b"): Atom(0), (1, "a"): Atom(0)}
-    m = AlternatingAutomaton("ab", 0, trans, {1}, states=[0, 1])
+    m = AlternatingAutomaton("ab", 0, trans, {1}, states=None)
     assert m.accepts("a")
     assert m.accepts("ba")
     assert not m.accepts("aab")
     for w in ("ab", "bab", "aaab"):
         with pytest.raises(StatelabError, match=r"no transition declared for \(1, 'b'\)"):
             m.accepts(w)
+    declared = AlternatingAutomaton("ab", 0, trans, {1}, states=[0, 1])
+    for w in declared.alphabet.words_up_to(4):
+        with pytest.raises(StatelabError, match=r"^no transition declared for \(1, 'b'\)$"):
+            declared.accepts(w)
 
 
 def test_atom_outside_the_declared_states_raises_only_where_the_run_reaches_it():
     trans = {(0, "a"): Or((Atom(0), Atom(7))), (0, "b"): Atom(0)}
-    m = AlternatingAutomaton("ab", 0, trans, {7}, states=[0])
+    m = AlternatingAutomaton("ab", 0, trans, {7}, states=None)
     assert not m.accepts("")
     assert m.accepts("a")
     assert not m.accepts("b")
     assert m.accepts("ba")
     with pytest.raises(StatelabError, match=r"no transition declared for \(7, 'a'\)"):
         m.accepts("aa")
+    declared = AlternatingAutomaton("ab", 0, trans, {7}, states=[0])
+    for w in declared.alphabet.words_up_to(4):
+        with pytest.raises(StatelabError, match=r"^row \(0, 'a'\) target 7 not in state list$"):
+            declared.accepts(w)
 
 
 def _run_closure(table, initial, word):
@@ -566,3 +581,104 @@ def test_reachable_counts_asks_each_expanded_transition_once_and_memoizes_none()
         for q, a in expanded * 2:
             m.delta(q, a)
         assert sorted(delta_calls, key=repr) == sorted(expanded, key=repr)
+
+
+# ---------------------------------------------------------------------------
+# one check of a declared table, whichever reader comes first
+
+# q1 is reached only through "b", so the run of "aa" never reads its rows
+SOUND_ROWS = {("q0", "a"): Atom("q0"), ("q0", "b"): Atom("q1"),
+              ("q1", "a"): Atom("q1"), ("q1", "b"): Atom("q1")}
+SOUND_TEXT = """\
+alphabet: a b
+states: q0 q1
+initial: q0
+accepting: q1
+trans q0 a -> q0
+trans q0 b -> q1
+trans q1 a -> q1
+trans q1 b -> q1
+"""
+
+# (id, initial, rows, a word whose run avoids the fault, the message,
+#  the line of SOUND_TEXT that puts the fault in a file and its replacement,
+#  or None where no file can express it)
+FAULTY_TABLES = [
+    ("undeclared-initial", "q9", SOUND_ROWS, "",
+     "initial state 'q9' not in state list", ("initial: q0", "initial: q9")),
+    ("atom-outside-states", "q0", {**SOUND_ROWS, ("q1", "a"): Or((Atom("q1"), Atom("q9")))},
+     "aa", "row ('q1', 'a') target 'q9' not in state list",
+     ("trans q1 a -> q1", "trans q1 a -> q1 | q9")),
+    ("missing-row", "q0", {k: f for k, f in SOUND_ROWS.items() if k != ("q1", "a")},
+     "aa", "no transition declared for ('q1', 'a')", None),
+    ("not-a-formula", "q0", {**SOUND_ROWS, ("q1", "a"): And((Atom("q1"), "junk"))},
+     "aa", "not a formula: 'junk'", None),
+]
+
+
+@pytest.mark.parametrize("initial,rows,avoiding,message,line",
+                         [case[1:] for case in FAULTY_TABLES],
+                         ids=[case[0] for case in FAULTY_TABLES])
+def test_every_reader_refuses_a_faulty_declared_table_in_the_same_words(
+        initial, rows, avoiding, message, line):
+    readers = [
+        lambda m: m.accepts(avoiding),
+        lambda m: m.accepts(""),
+        lambda m: m.accepts_up_to(0),
+        lambda m: m.reachable_counts(0),
+        determinize_finite,
+        serialize_automaton,
+    ]
+    # the undeclared reference routes still answer where the run avoids the fault
+    lazy = AlternatingAutomaton("ab", initial, rows, {"q1"})
+    assert backward_accepts(lazy, avoiding) == game_tree_accepts(lazy, avoiding) is False
+    for read in readers:
+        # a fresh automaton each time, so each reader meets the table first
+        m = AlternatingAutomaton("ab", initial, rows, {"q1"}, states=["q0", "q1"])
+        with pytest.raises(StatelabError) as exc:
+            read(m)
+        assert str(exc.value) == message
+        assert isinstance(exc.value, FormatError) == (read is serialize_automaton)
+    assert load_automaton(SOUND_TEXT) is not None
+    if line is not None:
+        assert line[0] in SOUND_TEXT
+        with pytest.raises(FormatError) as exc:
+            load_automaton(SOUND_TEXT.replace(*line, 1))
+        assert str(exc.value) == message
+
+
+def test_a_declared_table_is_compiled_once_for_every_reader(monkeypatch):
+    m = small_alternating_automaton()
+    table = {(q, a): m.delta(q, a) for q in m.states for a in "ab"}
+    delta, asked = _counting(table)
+    compile_ = automata._compile
+    compiled = []
+    monkeypatch.setattr(automata, "_compile",
+                        lambda A: compiled.append(A) or compile_(A))
+    A = AlternatingAutomaton("ab", "start", delta, {"seen", "tail"}, states=m.states)
+    words = list(A.alphabet.words_up_to(4))
+    assert A.reachable_counts(3) == m.reachable_counts(3)
+    assert A.reachable(3) == m.reachable(3)
+    assert A.accepts_up_to(4) == [A.accepts(w) for w in words]
+    assert [A.accepts(w) for w in words] == [game_tree_accepts(m, w) for w in words]
+    assert serialize_automaton(A) == serialize_automaton(m)
+    D = determinize_finite(A)
+    assert [D.accepts(w) for w in words] == [game_tree_accepts(m, w) for w in words]
+    assert sum(B is A for B in compiled) == 1
+    assert sorted(asked) == sorted(table)
+
+
+@pytest.mark.parametrize("clone", [lambda m: pickle.loads(pickle.dumps(m)),
+                                   copy.copy, copy.deepcopy],
+                         ids=["pickle", "copy", "deepcopy"])
+def test_a_compiled_automaton_and_its_determinization_survive_pickling_and_copying(clone):
+    m = small_alternating_automaton()
+    words = list(m.alphabet.words_up_to(4))
+    want = [game_tree_accepts(m, w) for w in words]
+    for A in (m, determinize_finite(m)):
+        # compiles the table and warms the fold memos
+        assert [A.accepts(w) for w in words] == want
+        assert A._fold is not None and any(A._fold[4].values())
+        twin = clone(A)
+        assert twin.states == A.states
+        assert [twin.accepts(w) for w in words] == want

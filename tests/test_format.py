@@ -282,7 +282,7 @@ MALFORMED = [
     ("missing-states", load_automaton, "states: q0 q1\n", "", "missing states: line"),
     ("repeated-state", load_automaton, "states: q0 q1", "states: q0 q1 q0", "states: has duplicates"),
     ("undeclared-initial", load_automaton, "initial: q0", "initial: q9",
-     "initial state 'q9' not declared"),
+     "initial state 'q9' not in state list"),
     ("undeclared-accepting", load_automaton, "accepting: q1", "accepting: q9",
      "accepting state 'q9' not declared"),
     ("zero-denominator", load_prob_automaton, "q1:1/1", "q1:1/0", "zero denominator in 'q1:1/0'"),
@@ -317,13 +317,13 @@ def test_serializing_a_lazy_automaton_is_a_format_error():
 
 def test_serializing_a_transition_to_an_undeclared_state_is_a_format_error():
     stray = AlternatingAutomaton("a", 0, {(0, "a"): Atom(7)}, [0], states=[0])
-    with pytest.raises(FormatError, match=r"transition \(0, 'a'\) mentions undeclared state 7"):
+    with pytest.raises(FormatError, match=r"^row \(0, 'a'\) target 7 not in state list$"):
         serialize_automaton(stray)
 
 
 def test_serializing_an_undeclared_initial_state_is_a_format_error():
     orphan = AlternatingAutomaton("a", "x", {("q", "a"): Atom("q")}, [], states=["q"])
-    with pytest.raises(FormatError, match="initial state 'x' not declared"):
+    with pytest.raises(FormatError, match="^initial state 'x' not in state list$"):
         serialize_automaton(orphan)
 
 
